@@ -24,14 +24,16 @@ use sae_live::wire::{Frame, FrameCursor, FrameWriter};
 fn traffic(n: usize) -> Vec<Frame> {
     (0..n)
         .map(|i| match i % 8 {
-            0..=2 => Frame::Core(Message::AssignTask {
+            0..=2 => Frame::AssignJobTask {
+                job: 1 + (i % 4) as u64,
                 task: i,
-                executor: i % 16,
-            }),
-            3..=5 => Frame::TaskFinished {
+            },
+            3..=5 => Frame::JobTaskOutcome {
+                job: 1 + (i % 4) as u64,
                 task: i,
                 executor: i % 16,
                 attempt: 0,
+                ok: true,
             },
             6 => Frame::Core(Message::Heartbeat { executor: i % 16 }),
             _ => Frame::Core(Message::PoolSizeChanged {

@@ -1,25 +1,22 @@
-//! Reactor scale sweep: one driver, hundreds of executor connections.
+//! Reactor scale sweep: one control loop, hundreds of executor
+//! connections.
 //!
 //! A single-threaded *fake fleet* — N non-blocking loopback sockets
-//! driven by the same `sae-poll` poller the reactor uses — registers
-//! with the driver and answers every `AssignTask` with an instant
-//! `TaskFinished`, so the measurement isolates the driver's wire layer:
+//! driven by the same `sae-poll` poller the control loop uses — registers
+//! with a [`JobServer`] running one job ([`JobServer::run_job`]) and
+//! answers every `AssignJobTask` with an instant successful
+//! `JobTaskOutcome`, so the measurement isolates the loop's wire layer:
 //! no Terasort I/O, no MAPE-K, just frames. The sweep runs executor
-//! counts 4→512 against both transports:
+//! counts 4→512 against the epoll event loop (one thread, all sockets,
+//! batched decode, coalesced writes).
 //!
-//! * `reactor` — the epoll event loop (one thread, all sockets, batched
-//!   decode, coalesced writes);
-//! * `blocking` — the pinned thread-per-connection reference (one reader
-//!   thread per socket, synchronous writes).
-//!
-//! Reported per point: frames/sec through the driver, client-measured
-//! assignment turnaround (`TaskFinished` sent → next `AssignTask`
+//! Reported per point: frames/sec through the loop, client-measured
+//! assignment turnaround (`JobTaskOutcome` sent → next `AssignJobTask`
 //! received) p50/p99, and wakeups per frame (how many frames each
 //! scheduler wakeup amortizes — the reactor's whole thesis).
 //!
-//! Acceptance gates (full sweep): the reactor holds ≥256 concurrent
-//! registered connections at the top of the sweep, and beats the
-//! blocking baseline's frames/sec by ≥5x there.
+//! Acceptance gate (full sweep): the loop holds ≥256 concurrent
+//! registered connections at the top of the sweep.
 //!
 //! `SAE_REACTOR_BENCH_QUICK=1` shrinks the sweep to the 128-executor
 //! point for CI smoke. Set `SAE_WRITE_BENCH_JSON=1` to rewrite the
@@ -35,13 +32,14 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use sae_dag::Message;
+use sae_live::server::{JobServer, ServerConfig};
+use sae_live::terasort;
 use sae_live::wire::{Frame, FrameCursor};
-use sae_live::{terasort, Driver, DriverConfig, DriverTransport, FlightRecorder};
 use sae_metrics::MetricRegistry;
 use sae_poll::{Event, Interest, Poller};
 
 /// Slots each fake executor registers with: enough outstanding
-/// assignments per connection to keep the driver's batches meaty.
+/// assignments per connection to keep the loop's batches meaty.
 const SLOTS: usize = 8;
 
 /// One fake executor connection.
@@ -51,8 +49,8 @@ struct FakeConn {
     out: VecDeque<u8>,
     want_write: bool,
     done: bool,
-    /// Set when a `TaskFinished` goes out; taken when the next
-    /// `AssignTask` lands — the assignment turnaround sample.
+    /// Set when a `JobTaskOutcome` goes out; taken when the next
+    /// `AssignJobTask` lands — the assignment turnaround sample.
     armed_at: Option<Instant>,
 }
 
@@ -86,19 +84,18 @@ impl FakeConn {
 struct FleetReport {
     /// Assignment-turnaround samples, sorted, in milliseconds.
     latencies: Vec<f64>,
-    /// First `AssignTask` seen → last frame seen: the steady-state
+    /// First `AssignJobTask` seen → last frame seen: the steady-state
     /// window. Connection setup and registration happen before the
     /// first assignment, so backlog stalls during the connect storm
     /// (the listener queue holds 128; a 512-socket burst would park
     /// the rest in SYN retransmit for seconds) don't pollute the
-    /// throughput of either transport.
+    /// throughput.
     steady_secs: f64,
 }
 
 /// One point of the sweep.
 struct ScalePoint {
     executors: usize,
-    transport: &'static str,
     runtime_secs: f64,
     steady_secs: f64,
     frames: u64,
@@ -118,7 +115,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Flushes `conn`, arming or disarming `EPOLLOUT` as the queue state
-/// demands (the same partial-write discipline the reactor itself uses).
+/// demands (the same partial-write discipline the control loop uses).
 fn flush_and_arm(poller: &Poller, conn: &mut FakeConn, token: u64) {
     match conn.flush() {
         Ok(true) if conn.want_write => {
@@ -135,14 +132,14 @@ fn flush_and_arm(poller: &Poller, conn: &mut FakeConn, token: u64) {
     }
 }
 
-/// Runs the single-threaded fake fleet against the driver at `addr`
-/// until every connection has seen `Shutdown` (or died).
+/// Runs the single-threaded fake fleet against the loop at `addr` until
+/// every connection has seen `Shutdown` (or died).
 fn run_fleet(addr: SocketAddr, executors: usize) -> io::Result<FleetReport> {
     let poller = Poller::new()?;
     let mut scratch = Vec::new();
     let mut conns: Vec<FakeConn> = Vec::with_capacity(executors);
     for id in 0..executors {
-        // Pace the connect storm: the driver is accepting concurrently,
+        // Pace the connect storm: the loop is accepting concurrently,
         // but the kernel's listen backlog holds ~128 — a full-speed
         // 512-socket burst overflows it and the excess SYNs sit in
         // retransmit for seconds. A short breath every 64 connects
@@ -212,7 +209,7 @@ fn run_fleet(addr: SocketAddr, executors: usize) -> io::Result<FleetReport> {
                 }
                 loop {
                     match conn.cursor.next() {
-                        Ok(Some(Frame::Core(Message::AssignTask { task, .. }))) => {
+                        Ok(Some(Frame::AssignJobTask { job, task })) => {
                             let now = Instant::now();
                             first_assign.get_or_insert(now);
                             last_frame = now;
@@ -220,17 +217,19 @@ fn run_fleet(addr: SocketAddr, executors: usize) -> io::Result<FleetReport> {
                                 latencies.push((now - t0).as_secs_f64() * 1e3);
                             }
                             conn.queue(
-                                &Frame::TaskFinished {
+                                &Frame::JobTaskOutcome {
+                                    job,
                                     task,
                                     executor: idx,
                                     attempt: 0,
+                                    ok: true,
                                 },
                                 &mut scratch,
                             );
                             conn.armed_at = Some(Instant::now());
                         }
-                        Ok(Some(Frame::StageStart { .. })) => {
-                            // The stage barrier is driver progress, not
+                        Ok(Some(Frame::JobStageStart { .. })) => {
+                            // The stage barrier is loop progress, not
                             // assignment turnaround: disarm.
                             conn.armed_at = None;
                             last_frame = Instant::now();
@@ -262,7 +261,7 @@ fn run_fleet(addr: SocketAddr, executors: usize) -> io::Result<FleetReport> {
             }
         }
         // A coarse heartbeat keeps the traffic shape honest without
-        // mattering for liveness (the driver's timeout is 60 s).
+        // mattering for liveness (the loop's timeout is 60 s).
         if last_heartbeat.elapsed() >= Duration::from_millis(500) {
             last_heartbeat = Instant::now();
             for (id, conn) in conns.iter_mut().enumerate() {
@@ -288,48 +287,36 @@ fn run_fleet(addr: SocketAddr, executors: usize) -> io::Result<FleetReport> {
     })
 }
 
-/// One sweep point: bind a driver on `transport`, run the fake fleet,
-/// report wire-layer throughput from the driver's own counters.
-fn run_scale(transport: DriverTransport, executors: usize, tasks_per_exec: usize) -> ScalePoint {
+/// One sweep point: bind a job server, run one job against the fake
+/// fleet, report wire-layer throughput from the loop's own counters.
+fn run_scale(executors: usize, tasks_per_exec: usize) -> ScalePoint {
     let metrics = MetricRegistry::new();
-    let driver = Driver::bind(DriverConfig {
+    let server = JobServer::bind(ServerConfig {
         executors,
         heartbeat_timeout: Duration::from_secs(60),
         check_interval: Duration::from_millis(5),
-        max_task_attempts: 4,
         blacklist_after: 1_000_000,
-        probation: Duration::from_secs(2),
-        deadline: Duration::from_secs(150),
-        task_deadline: None,
-        min_live_executors: 1,
-        degraded_wait: Duration::from_secs(5),
-        transport,
-        shutdown_drain: Duration::from_millis(500),
-        recorder: FlightRecorder::disabled(),
         metrics: metrics.clone(),
+        ..ServerConfig::default()
     })
-    .expect("bind driver");
-    let addr = driver.addr().expect("driver addr");
+    .expect("bind job server");
+    let addr = server.wire_addr().expect("wire addr");
     let job = terasort(executors * tasks_per_exec, 1, 7);
-    let driver_thread = std::thread::spawn(move || {
+    let loop_thread = std::thread::spawn(move || {
         let start = Instant::now();
-        let report = driver.run(&job);
+        let report = server.run_job(&job, Duration::from_secs(150), |_, _| {});
         (report, start.elapsed())
     });
     let fleet = run_fleet(addr, executors).expect("fleet run");
-    let (report, elapsed) = driver_thread.join().expect("driver thread");
-    let report = report.expect("driver run");
+    let (report, elapsed) = loop_thread.join().expect("loop thread");
+    let report = report.expect("job run");
 
     let snapshot = metrics.snapshot();
-    let frames = snapshot.counters["live.driver.frames_received"]
-        + snapshot.counters["live.driver.frames_sent"];
-    let wakeups = snapshot.counters["live.driver.wakeups"];
+    let frames =
+        snapshot.counters["server.frames_received"] + snapshot.counters["server.frames_sent"];
+    let wakeups = snapshot.counters["server.wakeups"];
     ScalePoint {
         executors,
-        transport: match transport {
-            DriverTransport::Reactor => "reactor",
-            DriverTransport::Blocking => "blocking",
-        },
         runtime_secs: elapsed.as_secs_f64(),
         steady_secs: fleet.steady_secs,
         frames,
@@ -351,70 +338,40 @@ fn main() {
     let tasks_per_exec = if quick { 16 } else { 24 };
 
     println!(
-        "{:>6} {:>9} {:>12} {:>12} {:>10} {:>9} {:>9} {:>8} {:>7}",
-        "execs",
-        "transport",
-        "frames",
-        "frames/s",
-        "wake/frame",
-        "p50 ms",
-        "p99 ms",
-        "steady s",
-        "time s"
+        "{:>6} {:>12} {:>12} {:>10} {:>9} {:>9} {:>8} {:>7}",
+        "execs", "frames", "frames/s", "wake/frame", "p50 ms", "p99 ms", "steady s", "time s"
     );
     let mut points: Vec<ScalePoint> = Vec::new();
     for &n in counts {
-        for transport in [DriverTransport::Reactor, DriverTransport::Blocking] {
-            let point = run_scale(transport, n, tasks_per_exec);
-            println!(
-                "{:>6} {:>9} {:>12} {:>12.0} {:>10.3} {:>9.3} {:>9.3} {:>8.3} {:>7.2}",
-                point.executors,
-                point.transport,
-                point.frames,
-                point.frames_per_sec,
-                point.wakeups_per_frame,
-                point.p50_ms,
-                point.p99_ms,
-                point.steady_secs,
-                point.runtime_secs,
-            );
-            assert_eq!(
-                point.registered, n,
-                "{} at {n}: not every connection registered",
-                point.transport
-            );
-            points.push(point);
-        }
+        let point = run_scale(n, tasks_per_exec);
+        println!(
+            "{:>6} {:>12} {:>12.0} {:>10.3} {:>9.3} {:>9.3} {:>8.3} {:>7.2}",
+            point.executors,
+            point.frames,
+            point.frames_per_sec,
+            point.wakeups_per_frame,
+            point.p50_ms,
+            point.p99_ms,
+            point.steady_secs,
+            point.runtime_secs,
+        );
+        assert_eq!(
+            point.registered, n,
+            "at {n}: not every connection registered"
+        );
+        points.push(point);
     }
 
     let top = *counts.last().unwrap();
-    let fps = |transport: &str| {
-        points
-            .iter()
-            .find(|p| p.executors == top && p.transport == transport)
-            .map(|p| p.frames_per_sec)
-            .unwrap()
-    };
-    let speedup = fps("reactor") / fps("blocking");
-    println!(
-        "\ntop of sweep ({top} executors): reactor {:.0} frames/s vs blocking {:.0} frames/s = {speedup:.2}x",
-        fps("reactor"),
-        fps("blocking")
-    );
-
     let mut json = String::from("{\n  \"benchmark\": \"reactor_scale\",\n");
     json.push_str(&format!(
-        "  \"workload\": \"loopback fake fleet, {tasks_per_exec} tasks/executor x 2 stages, {SLOTS} slots, instant TaskFinished replies\",\n"
+        "  \"workload\": \"loopback fake fleet against the job server, one {tasks_per_exec} tasks/executor x 2 stages job, {SLOTS} slots, instant JobTaskOutcome replies\",\n"
     ));
-    json.push_str(&format!("  \"top_executors\": {top},\n"));
-    json.push_str(&format!(
-        "  \"speedup_at_top\": {speedup:.3},\n  \"points\": [\n"
-    ));
+    json.push_str(&format!("  \"top_executors\": {top},\n  \"points\": [\n"));
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"executors\": {}, \"transport\": \"{}\", \"frames\": {}, \"frames_per_sec\": {:.1}, \"wakeups_per_frame\": {:.4}, \"assign_latency_p50_ms\": {:.4}, \"assign_latency_p99_ms\": {:.4}, \"steady_secs\": {:.4}, \"runtime_secs\": {:.4}, \"registered\": {}}}{}\n",
+            "    {{\"executors\": {}, \"transport\": \"reactor\", \"frames\": {}, \"frames_per_sec\": {:.1}, \"wakeups_per_frame\": {:.4}, \"assign_latency_p50_ms\": {:.4}, \"assign_latency_p99_ms\": {:.4}, \"steady_secs\": {:.4}, \"runtime_secs\": {:.4}, \"registered\": {}}}{}\n",
             p.executors,
-            p.transport,
             p.frames,
             p.frames_per_sec,
             p.wakeups_per_frame,
@@ -434,19 +391,11 @@ fn main() {
     }
 
     if !quick {
-        let top_reactor = points
-            .iter()
-            .find(|p| p.executors == top && p.transport == "reactor")
-            .unwrap();
+        let registered = points.last().unwrap().registered;
         assert!(
-            top_reactor.registered >= 256,
-            "reactor held only {} concurrent connections at the top of the sweep",
-            top_reactor.registered
+            registered >= 256,
+            "the loop held only {registered} concurrent connections at the top of the sweep"
         );
-        assert!(
-            speedup >= 5.0,
-            "reactor speedup over thread-per-connection at {top} executors is {speedup:.2}x, want >= 5x"
-        );
-        println!("OK: {top} concurrent connections, {speedup:.2}x over the blocking baseline");
+        println!("OK: {top} concurrent connections");
     }
 }

@@ -81,7 +81,7 @@ fn run_once(plan: FaultPlan) -> ChaosRun {
         .metrics()
         .snapshot()
         .counters
-        .get("live.driver.reincarnations")
+        .get("server.reincarnations")
         .copied()
         .unwrap_or(0);
     cluster.shutdown().expect("shutdown");

@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 
 use sae_core::MapeConfig;
 use sae_live::executor::LiveExecutorConfig;
+use sae_live::server::json::{self, Value};
 use sae_live::server::sched::{replay, Step};
 use sae_live::server::{JobServer, ServerConfig};
 use sae_live::{LiveExecutor, TempDir};
@@ -110,25 +111,11 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
 }
 
 fn field(body: &str, key: &str) -> String {
-    let pat = format!("\"{key}\":");
-    let start = body
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no field {key} in {body}"))
-        + pat.len();
-    let rest = &body[start..];
-    let quoted = rest.starts_with('"');
-    let end = rest
-        .char_indices()
-        .find(|(i, c)| {
-            if quoted {
-                *i > 0 && *c == '"'
-            } else {
-                *c == ',' || *c == '}'
-            }
-        })
-        .map(|(i, _)| if quoted { i + 1 } else { i })
-        .unwrap_or(rest.len());
-    rest[..end].trim_matches('"').to_string()
+    match json::parse(body).ok().and_then(|doc| doc.get(key).cloned()) {
+        Some(Value::Str(s)) => s,
+        Some(Value::Num(n)) => n.to_string(),
+        _ => panic!("no field {key} in {body}"),
+    }
 }
 
 fn job_body(tenant: &str, weight: u64, tasks: usize, records: usize, seed: u64) -> String {

@@ -20,7 +20,7 @@
 
 use sae_core::{MapeConfig, ThreadPolicy};
 use sae_dag::EngineConfig;
-use sae_live::{terasort, ClusterConfig, DriverTransport, LiveCluster, LiveReport};
+use sae_live::{terasort, ClusterConfig, LiveCluster, LiveReport};
 use sae_workloads::WorkloadKind;
 
 const EXECUTORS: usize = 3;
@@ -48,13 +48,11 @@ fn sim_traces() -> Vec<(String, Vec<Vec<usize>>)> {
         .collect()
 }
 
-/// Runs the same-seed loopback Terasort under the given wire transport
-/// (the epoll reactor or the pinned thread-per-connection reference).
-fn live_report(transport: DriverTransport) -> LiveReport {
+/// Runs the same-seed loopback Terasort on the live cluster.
+fn live_report() -> LiveReport {
     let mut cluster = LiveCluster::launch(ClusterConfig {
         executors: EXECUTORS,
         mape: MapeConfig::new(C_MIN, C_MAX),
-        transport,
         ..ClusterConfig::default()
     })
     .expect("launch live cluster");
@@ -219,33 +217,24 @@ fn main() {
         }
     }
 
-    // The live side runs twice over the same-seed job: once under the
-    // epoll reactor (the default wire layer) and once under the pinned
-    // thread-per-connection reference. The transport moves bytes; the
-    // controller climbs. Both traces must carry the same doubling
-    // signature as each other and as the simulator.
-    let mut live_runs: Vec<(&'static str, LiveReport, Vec<Vec<usize>>)> = Vec::new();
-    for (label, transport) in [
-        ("reactor", DriverTransport::Reactor),
-        ("blocking", DriverTransport::Blocking),
-    ] {
-        println!();
-        println!(
-            "== live runtime [{label}]: loopback Terasort (24 tasks x 20k records), {EXECUTORS} executors =="
-        );
-        let live = live_report(transport);
-        let traces = decision_traces(&live);
-        for (e, trace) in traces.iter().enumerate() {
-            println!("  executor {e}: {}", trace_shape(trace));
-        }
-        println!(
-            "  {} PoolSizeChanged round-trips over {:.2}s; final registry: {:?}",
-            live.decisions.len(),
-            live.runtime_secs,
-            live.registry.iter().map(|s| s.slots).collect::<Vec<_>>()
-        );
-        live_runs.push((label, live, traces));
+    // The live side runs the same-seed job over real sockets; its trace
+    // must carry the same doubling signature as the simulator's.
+    println!();
+    println!(
+        "== live runtime: loopback Terasort (24 tasks x 20k records), {EXECUTORS} executors =="
+    );
+    let live = live_report();
+    let traces = decision_traces(&live);
+    for (e, trace) in traces.iter().enumerate() {
+        println!("  executor {e}: {}", trace_shape(trace));
     }
+    println!(
+        "  {} PoolSizeChanged round-trips over {:.2}s; final registry: {:?}",
+        live.decisions.len(),
+        live.runtime_secs,
+        live.registry.iter().map(|s| s.slots).collect::<Vec<_>>()
+    );
+    let live_runs = [("live", live, traces)];
 
     // The faithfulness checks the traces must share.
     let sim_flat: Vec<Vec<usize>> = sim.iter().flat_map(|(_, ts)| ts.iter().cloned()).collect();
@@ -267,8 +256,8 @@ fn main() {
         })
     });
 
-    // Climb-sequence agreement: decompose every non-empty trace from all
-    // three runtimes into segments and demand each one carries the
+    // Climb-sequence agreement: decompose every non-empty trace from both
+    // runtimes into segments and demand each one carries the
     // controller's doubling signature.
     let mut climbs_valid = true;
     let mut origins: Vec<(&str, &Vec<Vec<usize>>)> = vec![("sim", &sim_flat)];
@@ -339,5 +328,5 @@ fn main() {
             "the live runtime [{label}] never climbed above c_min"
         );
     }
-    println!("OK: all three runtimes show the same adaptation shape");
+    println!("OK: both runtimes show the same adaptation shape");
 }

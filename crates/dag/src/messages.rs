@@ -8,10 +8,8 @@
 //! runtime (`sae-live`) carries the same values over real TCP using the
 //! hand-rolled frame format in [`crate::codec`].
 
-use serde::{Deserialize, Serialize};
-
 /// A message on the driver↔executor channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Message {
     /// Driver → executor: run `task`.
     AssignTask {

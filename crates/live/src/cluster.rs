@@ -3,6 +3,11 @@
 //! observability plane: one [`FlightRecorder`], one [`MetricRegistry`]
 //! and one [`DecisionJournal`] per executor, all on one clock.
 //!
+//! The driver is the job server's control loop ([`JobServer::run_job`])
+//! with no HTTP listener: it submits the one job in-process, with stage
+//! announcements that reset every executor's pool as the simulated
+//! engine does, and returns once the job is terminal.
+//!
 //! Artifacts: set [`ClusterConfig::trace_out`] to get the merged Chrome
 //! trace on shutdown, [`ClusterConfig::journal_out`] for the decision
 //! journal as JSONL, [`ClusterConfig::metrics_out`] for a Prometheus text
@@ -42,14 +47,13 @@ use sae_core::{DecisionJournal, DecisionRecord, MapeConfig};
 use sae_dag::{FaultPlan, TraceEvent};
 use sae_metrics::{render_prometheus, snapshot_jsonl_line, MetricRegistry};
 
-use crate::driver::{
-    Driver, DriverConfig, DriverTransport, LiveError, LiveReport, PoolDecision, SlotInfo,
-};
 use crate::executor::{LiveExecutor, LiveExecutorConfig, RespawnConfig};
 use crate::job::LiveJob;
 use crate::log::Logger;
 use crate::nemesis::Nemesis;
 use crate::recorder::{FlightRecorder, LiveEvent};
+use crate::report::{LiveError, LiveReport, PoolDecision, SlotInfo};
+use crate::server::{JobServer, ServerConfig};
 
 /// Cluster-level configuration: driver knobs plus what every executor
 /// shares.
@@ -82,11 +86,6 @@ pub struct ClusterConfig {
     /// How long the driver tolerates being below the floor before the job
     /// fails.
     pub degraded_wait: Duration,
-    /// Which wire transport the driver runs (reactor by default;
-    /// `SAE_REFERENCE_DRIVER=1` forces the blocking reference).
-    pub transport: DriverTransport,
-    /// Reactor-only: drain budget for queued frames on exit.
-    pub shutdown_drain: Duration,
     /// Run executors as separate OS processes (`sae-executor` children)
     /// instead of in-process threads. The in-thread mode stays the fast
     /// test path; process mode is the real fleet — each executor owns
@@ -144,8 +143,6 @@ impl Default for ClusterConfig {
             task_deadline: None,
             min_live_executors: 1,
             degraded_wait: Duration::from_secs(5),
-            transport: DriverTransport::default(),
-            shutdown_drain: Duration::from_millis(500),
             process_executors: false,
             executor_binary: None,
             kill_after_tasks: Vec::new(),
@@ -229,7 +226,7 @@ impl Drop for ChildExecutor {
 /// ```
 #[derive(Debug)]
 pub struct LiveCluster {
-    driver: Option<Driver>,
+    server: Option<JobServer>,
     executors: Vec<LiveExecutor>,
     children: Vec<ChildExecutor>,
     _scratch: TempDir,
@@ -256,23 +253,21 @@ impl LiveCluster {
         let metrics = MetricRegistry::new();
         let journals: Vec<DecisionJournal> =
             (0..cfg.executors).map(|_| DecisionJournal::new()).collect();
-        let driver = Driver::bind(DriverConfig {
+        let server = JobServer::bind_wire(ServerConfig {
             executors: cfg.executors,
             heartbeat_timeout: cfg.heartbeat_timeout,
             check_interval: cfg.check_interval,
             max_task_attempts: cfg.max_task_attempts,
             blacklist_after: cfg.blacklist_after,
             probation: cfg.probation,
-            deadline: cfg.deadline,
             task_deadline: cfg.task_deadline,
             min_live_executors: cfg.min_live_executors,
             degraded_wait: cfg.degraded_wait,
-            transport: cfg.transport,
-            shutdown_drain: cfg.shutdown_drain,
             recorder: recorder.clone(),
             metrics: metrics.clone(),
+            ..ServerConfig::default()
         })?;
-        let driver_addr = driver.addr()?;
+        let driver_addr = server.wire_addr()?;
         // Wire faults interpose the nemesis; executors then connect to it
         // instead of the driver and every frame crosses the fault layer.
         let nemesis = if cfg.fault_plan.wire.is_empty() {
@@ -344,7 +339,7 @@ impl LiveCluster {
         });
         let log = Logger::new("cluster", recorder.clone());
         Ok(Self {
-            driver: Some(driver),
+            server: Some(server),
             executors,
             children,
             _scratch: scratch,
@@ -388,8 +383,9 @@ impl LiveCluster {
         self.last_trace_path.as_deref()
     }
 
-    /// Runs one job on the cluster's driver. The driver is single-shot:
-    /// a second call reports [`LiveError::AlreadyRan`].
+    /// Runs one job on the cluster's driver, bounded by
+    /// [`ClusterConfig::deadline`]. The driver is single-shot: a second
+    /// call reports [`LiveError::AlreadyRan`].
     pub fn run(&mut self, job: &LiveJob) -> Result<LiveReport, LiveError> {
         self.run_with_observer(job, |_, _| {})
     }
@@ -406,9 +402,10 @@ impl LiveCluster {
         job: &LiveJob,
         observer: impl FnMut(&PoolDecision, &[SlotInfo]),
     ) -> Result<LiveReport, LiveError> {
-        let driver = self.driver.take().ok_or(LiveError::AlreadyRan)?;
+        let server = self.server.take().ok_or(LiveError::AlreadyRan)?;
+        let deadline = self.cfg.deadline;
         let result = catch_unwind(AssertUnwindSafe(move || {
-            driver.run_with_observer(job, observer)
+            server.run_job(job, deadline, observer)
         }))
         .unwrap_or_else(|panic| {
             let message = panic

@@ -1,7 +1,7 @@
 //! The live executor: an [`AdaptivePool`] behind a TCP connection.
 //!
 //! Each executor connects to the driver, registers, and then services
-//! `AssignTask` messages by running real Terasort tasks on its adaptive
+//! `AssignJobTask` frames by running real Terasort tasks on its adaptive
 //! pool. The §5.4 protocol extension is wired through the pool's resize
 //! hook: every effective pool-size change — the reset at a stage boundary
 //! and every MAPE-K decision — emits a `PoolSizeChanged` frame, which is
@@ -62,7 +62,7 @@ use sae_dag::codec::TraceKey;
 use crate::job::LiveStageKind;
 use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent};
-use crate::task::{run_task, SINGLE_JOB};
+use crate::task::run_task;
 use crate::wire::{Frame, FrameReader, FrameWriter, Next};
 
 /// Per-job stage parameters `(stage, kind, records_per_task, seed)`
@@ -164,7 +164,7 @@ impl LiveExecutor {
         let kill = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&kill);
         let journal = cfg.journal.clone();
-        let handle = std::thread::spawn(move || run_executor(addr, cfg, flag));
+        let handle = std::thread::spawn(move || run_foreground(addr, cfg, flag));
         Self {
             kill,
             journal,
@@ -200,25 +200,6 @@ impl LiveExecutor {
             None => Ok(()),
         }
     }
-}
-
-/// Runs an executor on the calling thread until the job is over: the
-/// full incarnation loop — connect, register, serve, and reincarnate
-/// after kills or connection losses for as long as the respawn budget
-/// allows.
-///
-/// This is the entry point the `sae-executor` binary uses to run an
-/// executor as its own OS process; [`LiveExecutor::launch`] wraps the
-/// same loop in a thread for the in-process fast path, so both fleet
-/// modes execute identical protocol logic. `kill` carries
-/// [`LiveExecutor::kill`] semantics: flip it and the executor goes
-/// silent with the socket open (heartbeat-silence failure, not EOF).
-pub fn run_foreground(
-    addr: SocketAddr,
-    cfg: LiveExecutorConfig,
-    kill: Arc<AtomicBool>,
-) -> io::Result<()> {
-    run_executor(addr, cfg, kill)
 }
 
 /// Why one incarnation's serve loop ended.
@@ -305,6 +286,18 @@ impl Link {
         });
         Ok(())
     }
+
+    /// Reports one attempt's outcome; the control loop frees the slot it
+    /// booked for the assignment only when this arrives.
+    fn outcome(&self, job: u64, task: usize, ok: bool) -> io::Result<()> {
+        self.send(&Frame::JobTaskOutcome {
+            job,
+            task,
+            executor: self.id,
+            attempt: 0,
+            ok,
+        })
+    }
 }
 
 /// The executor's cached metric handles (`live.executor.*{executor="N"}`).
@@ -329,9 +322,18 @@ impl ExecMetrics {
     }
 }
 
-/// The incarnation loop: serve until the job is over, reincarnating after
-/// kills and connection losses as long as the respawn budget allows.
-fn run_executor(
+/// Runs an executor on the calling thread until the job is over: the
+/// full incarnation loop — connect, register, serve, and reincarnate
+/// after kills or connection losses for as long as the respawn budget
+/// allows.
+///
+/// This is the entry point the `sae-executor` binary uses to run an
+/// executor as its own OS process; [`LiveExecutor::launch`] wraps the
+/// same loop in a thread for the in-process fast path, so both fleet
+/// modes execute identical protocol logic. `kill` carries
+/// [`LiveExecutor::kill`] semantics: flip it and the executor goes
+/// silent with the socket open (heartbeat-silence failure, not EOF).
+pub fn run_foreground(
     addr: SocketAddr,
     cfg: LiveExecutorConfig,
     kill: Arc<AtomicBool>,
@@ -490,7 +492,6 @@ fn run_incarnation(
     };
 
     let completed = Arc::new(AtomicUsize::new(0));
-    let mut current_stage: Option<(usize, LiveStageKind, usize, u64)> = None;
     let result = serve(
         cfg,
         incarnation,
@@ -501,7 +502,6 @@ fn run_incarnation(
         &stage_probe,
         kill,
         &completed,
-        &mut current_stage,
         zeta_sent,
         &metrics,
         log,
@@ -535,7 +535,6 @@ fn serve(
     stage_probe: &sae_pool::procfs::StageIoProbe,
     kill: &Arc<AtomicBool>,
     completed: &Arc<AtomicUsize>,
-    current_stage: &mut Option<(usize, LiveStageKind, usize, u64)>,
     zeta_sent: &mut usize,
     metrics: &ExecMetrics,
     log: &Logger,
@@ -602,7 +601,12 @@ fn serve(
                 });
             }
             Frame::FaultNotice { .. } => {}
-            Frame::StageStart {
+            // A served job's stage leaves the pool and probes alone: many
+            // jobs interleave on one fleet, and a reset per job stage would
+            // thrash the MAPE-K controller's measurement intervals. A hint
+            // marks a single-job run, whose stage boundary resets both.
+            Frame::JobStageStart {
+                job,
                 stage,
                 kind,
                 records_per_task,
@@ -610,104 +614,15 @@ fn serve(
                 hint,
                 ..
             } => {
-                // Book the finished stage's explicit I/O before the reset.
-                let (_, mb) = io_reading();
-                metrics.io_mb.add(mb);
-                task_io.reset();
-                stage_probe.rebase();
-                pool.stage_started(Some(hint));
-                log.info(|| format!("stage {stage} announced: pool reset, hint {hint}"));
-                *current_stage = Some((stage, kind, records_per_task, seed));
-            }
-            Frame::Core(Message::AssignTask { task, .. }) => {
-                let Some((stage, kind, records_per_task, seed)) = *current_stage else {
-                    continue; // assignment before any stage: confused peer
-                };
-                let link = Arc::clone(link);
-                let kill = Arc::clone(kill);
-                let completed = Arc::clone(completed);
-                let task_io = task_io.clone();
-                let pool = pool.clone();
-                let dir = cfg.spill_dir.clone();
-                let id = cfg.id;
-                let tasks_finished = metrics.tasks_finished.clone();
-                let tasks_failed = metrics.tasks_failed.clone();
-                let log = log.clone();
-                pool.clone().submit(move || {
-                    if kill.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let started = link.recorder.now();
-                    let outcome = run_task(
-                        kind,
-                        SINGLE_JOB,
-                        task,
-                        records_per_task,
-                        seed,
-                        &dir,
-                        &task_io,
-                    );
-                    if kill.load(Ordering::Relaxed) {
-                        return; // died mid-task: no report, just silence
-                    }
-                    let ok = outcome.is_ok();
-                    // Span first, outcome second: the receiver merges the
-                    // span into the live timeline before it acts on the
-                    // outcome, keeping the trace causally ordered.
-                    let _ = link.send(&Frame::TaskSpan {
-                        key: TraceKey {
-                            job: SINGLE_JOB,
-                            stage,
-                            task,
-                            attempt: 0,
-                            epoch: incarnation as u64,
-                        },
-                        executor: id,
-                        start_bits: started.to_bits(),
-                        end_bits: link.recorder.now().to_bits(),
-                        ok,
-                    });
-                    let frame = match outcome {
-                        Ok(()) => {
-                            tasks_finished.inc();
-                            Frame::TaskFinished {
-                                task,
-                                executor: id,
-                                attempt: 0,
-                            }
-                        }
-                        Err(_) => {
-                            tasks_failed.inc();
-                            log.error(|| format!("task {task} failed"));
-                            // Our own failure distorts the probe the same
-                            // way a peer's does: poison the interval.
-                            pool.interval_poisoned(&format!("local task {task} failed"));
-                            Frame::Core(Message::TaskFailed {
-                                task,
-                                executor: id,
-                                attempt: 0,
-                            })
-                        }
-                    };
-                    let _ = link.send(&frame);
-                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                    if kill_after_tasks.is_some_and(|n| done >= n) {
-                        kill.store(true, Ordering::Relaxed);
-                    }
-                });
-            }
-            // Multi-job serving (the job-server path). Unlike StageStart
-            // this does not reset the pool or probes: many jobs interleave
-            // on one fleet, and a reset per job stage would thrash the
-            // MAPE-K controller's measurement intervals.
-            Frame::JobStageStart {
-                job,
-                stage,
-                kind,
-                records_per_task,
-                seed,
-                ..
-            } => {
+                if let Some(hint) = hint {
+                    // Book the finished stage's explicit I/O before the reset.
+                    let (_, mb) = io_reading();
+                    metrics.io_mb.add(mb);
+                    task_io.reset();
+                    stage_probe.rebase();
+                    pool.stage_started(Some(hint));
+                    log.info(|| format!("pool reset for job {job} stage {stage}, hint {hint}"));
+                }
                 jobs.lock()
                     .insert(job, (stage, kind, records_per_task, seed));
                 log.info(|| format!("job {job} stage {stage} announced"));
@@ -724,13 +639,7 @@ fn serve(
                     // for this assignment; report a failed outcome so it is
                     // freed and the task requeued instead of sitting assigned
                     // until we are declared lost.
-                    let _ = link.send(&Frame::JobTaskOutcome {
-                        job,
-                        task,
-                        executor: cfg.id,
-                        attempt: 0,
-                        ok: false,
-                    });
+                    let _ = link.outcome(job, task, false);
                     continue;
                 };
                 let link = Arc::clone(link);
@@ -753,13 +662,7 @@ fn serve(
                     // outcome — the server frees the slot it booked for
                     // this assignment only when one arrives.
                     if !jobs.lock().contains_key(&job) {
-                        let _ = link.send(&Frame::JobTaskOutcome {
-                            job,
-                            task,
-                            executor: id,
-                            attempt: 0,
-                            ok: false,
-                        });
+                        let _ = link.outcome(job, task, false);
                         return;
                     }
                     let started = link.recorder.now();
@@ -792,20 +695,14 @@ fn serve(
                         end_bits: link.recorder.now().to_bits(),
                         ok,
                     });
-                    let _ = link.send(&Frame::JobTaskOutcome {
-                        job,
-                        task,
-                        executor: id,
-                        attempt: 0,
-                        ok,
-                    });
+                    let _ = link.outcome(job, task, ok);
                     let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                     if kill_after_tasks.is_some_and(|n| done >= n) {
                         kill.store(true, Ordering::Relaxed);
                     }
                 });
             }
-            // Driver-only frames echoed at us: ignore.
+            // Executor-bound frames echoed at us: ignore.
             _ => {}
         }
     }

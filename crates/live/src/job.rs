@@ -20,7 +20,7 @@ pub enum LiveStageKind {
 }
 
 impl LiveStageKind {
-    /// Wire discriminant for [`crate::wire::Frame::StageStart`].
+    /// Wire discriminant for [`crate::wire::Frame::JobStageStart`].
     pub(crate) fn to_wire(self) -> u64 {
         match self {
             LiveStageKind::Spill => 0,

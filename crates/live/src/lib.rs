@@ -2,12 +2,14 @@
 //! protocol: real sockets, real threads, real disk I/O.
 //!
 //! Everything else in this workspace *simulates* the paper's system; this
-//! crate *runs* it. A [`Driver`] listens on loopback TCP; N
-//! [`LiveExecutor`]s connect, register, and service task assignments on
-//! `sae-pool`'s [`AdaptivePool`](sae_pool::AdaptivePool) — so the MAPE-K
-//! loop, the §5.4 `PoolSizeChanged` protocol extension, heartbeat-based
-//! failure detection and task retry all execute end-to-end over a real
-//! wire. The pieces deliberately shared with the simulated engine:
+//! crate *runs* it. One control loop (the [`JobServer`]'s) listens on
+//! loopback TCP; N [`LiveExecutor`]s connect, register, and service task
+//! assignments on `sae-pool`'s [`AdaptivePool`](sae_pool::AdaptivePool) —
+//! so the MAPE-K loop, the §5.4 `PoolSizeChanged` protocol extension,
+//! heartbeat-based failure detection and task retry all execute
+//! end-to-end over a real wire, for many tenants' jobs (`sae-server`) or
+//! one in-process job ([`LiveCluster::run`]). The pieces deliberately
+//! shared with the simulated engine:
 //!
 //! * the [`Message`](sae_dag::Message) enum and its binary encoding
 //!   ([`sae_dag::codec`]) — one wire format for both runtimes;
@@ -40,26 +42,23 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod driver;
 pub mod epochs;
 pub mod executor;
 pub mod job;
 pub mod log;
 pub mod nemesis;
 pub mod recorder;
+pub mod report;
 pub mod server;
 pub mod task;
 pub mod wire;
 
 pub use cluster::{ClusterConfig, LiveCluster, TempDir};
-pub use driver::{
-    Driver, DriverConfig, DriverTransport, LiveError, LiveReport, LiveStageReport, PoolDecision,
-    SlotInfo,
-};
 pub use epochs::{Admission, EpochRegistry, Registration};
 pub use executor::{LiveExecutor, LiveExecutorConfig, RespawnConfig};
 pub use job::{terasort, LiveJob, LiveStageKind, LiveStageSpec};
 pub use log::{LogLevel, Logger};
 pub use nemesis::Nemesis;
 pub use recorder::{chrome_trace, FlightRecorder, LiveEvent};
+pub use report::{LiveError, LiveReport, LiveStageReport, PoolDecision, SlotInfo};
 pub use server::{JobServer, JobStatus, JobSummary, ServerConfig, ServerReport};

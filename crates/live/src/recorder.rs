@@ -30,6 +30,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 use sae_dag::{append_chrome_entries, TraceEvent};
+use sae_net::http::escape_json;
 
 use crate::log::LogLevel;
 
@@ -143,8 +144,8 @@ pub enum LiveEvent {
     /// cross-process correlation record that lets a multi-process fleet's
     /// events merge into one causally-ordered trace during the run.
     TaskSpan {
-        /// Job the task belongs to ([`crate::wire::SINGLE_JOB`] for the
-        /// single-job driver).
+        /// Job the task belongs to ([`crate::task::SINGLE_JOB`] for a
+        /// [`crate::LiveCluster`] run).
         job: u64,
         /// Stage index within the job.
         stage: usize,
@@ -505,28 +506,24 @@ impl FlightRecorder {
     /// executor replays from its decision journal at shutdown — are pushed
     /// after the instants they describe.
     pub fn snapshot(&self) -> Vec<LiveEvent> {
-        let mut pairs: Vec<(u64, LiveEvent)> = self
-            .inner
-            .slots
-            .iter()
-            .filter_map(|s| s.lock().clone())
-            .collect();
-        pairs.sort_by(|a, b| {
-            a.1.at()
-                .partial_cmp(&b.1.at())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        pairs.into_iter().map(|(_, e)| e).collect()
+        self.collect(|slot| slot.clone())
     }
 
     /// Like [`FlightRecorder::snapshot`], additionally clearing the ring.
     pub fn drain(&self) -> Vec<LiveEvent> {
+        self.collect(Option::take)
+    }
+
+    /// Pulls every occupied ring slot through `read`, in time order.
+    fn collect(
+        &self,
+        read: impl Fn(&mut Option<(u64, LiveEvent)>) -> Option<(u64, LiveEvent)>,
+    ) -> Vec<LiveEvent> {
         let mut pairs: Vec<(u64, LiveEvent)> = self
             .inner
             .slots
             .iter()
-            .filter_map(|s| s.lock().take())
+            .filter_map(|s| read(&mut s.lock()))
             .collect();
         pairs.sort_by(|a, b| {
             a.1.at()
@@ -541,23 +538,6 @@ impl FlightRecorder {
     pub fn chrome_trace(&self) -> String {
         chrome_trace(&self.snapshot())
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn esc_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders events as a Chrome trace-event JSON array.
@@ -676,8 +656,8 @@ pub fn chrome_trace(events: &[LiveEvent]) -> String {
                     r#"{{"name":"log-{}","ph":"i","ts":{},"pid":0,"tid":0,"s":"g","args":{{"scope":"{}","message":"{}"}}}}"#,
                     level.as_str(),
                     us(*at),
-                    esc_json(scope),
-                    esc_json(message)
+                    escape_json(scope),
+                    escape_json(message)
                 ));
             }
             LiveEvent::TaskSpan {
@@ -706,7 +686,7 @@ pub fn chrome_trace(events: &[LiveEvent]) -> String {
                 entries.push(format!(
                     r#"{{"name":"job{job}:{status}","ph":"i","ts":{},"pid":0,"tid":0,"s":"g","args":{{"tenant":"{}"}}}}"#,
                     us(*at),
-                    esc_json(tenant)
+                    escape_json(tenant)
                 ));
             }
             // Journal lines are the streaming plane's payload, not trace

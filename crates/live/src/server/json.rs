@@ -1,12 +1,11 @@
-//! A minimal JSON reader for `POST /jobs` bodies.
+//! A minimal JSON reader: `POST /jobs` bodies, and what the live tests and
+//! bench tools read back from the server (responses, traces, snapshots).
 //!
-//! The control API accepts small, flat documents (a job spec is a handful
-//! of scalars and one stage array), so this is a straightforward
-//! recursive-descent parser over the full grammar — objects, arrays,
-//! strings with the standard escapes, numbers, booleans, null — with a
-//! depth cap instead of a streaming interface. The workspace vendors no
-//! JSON crate; everything that *writes* JSON here does so with `format!`,
-//! and this module is the matching read side.
+//! A straightforward recursive-descent parser over the full grammar —
+//! objects, arrays, strings with the standard escapes, numbers, booleans,
+//! null — with a depth cap instead of a streaming interface. The
+//! workspace vendors no JSON crate; everything that *writes* JSON here
+//! does so with `format!`, and this module is the matching read side.
 
 use std::collections::BTreeMap;
 

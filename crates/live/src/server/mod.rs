@@ -1,17 +1,36 @@
-//! `sae-server`: a multi-tenant job server over the live runtime.
+//! The live runtime's one control plane: a multi-tenant job server.
 //!
-//! The single-job [`Driver`](crate::Driver) runs one [`LiveJob`] and
-//! exits. This module generalises its protocol state machine into a
-//! long-running server: clients submit jobs over a hand-rolled HTTP/1.1
-//! control API ([`sae_net::http`]), a shared executor fleet serves every
-//! job's tasks concurrently, and a stride scheduler ([`sched::FairShare`])
-//! splits the fleet's slots across tenants by weight.
+//! Clients submit jobs over a hand-rolled HTTP/1.1 control API
+//! ([`sae_net::http`]), a shared executor fleet serves every job's tasks
+//! concurrently, and a stride scheduler ([`sched::FairShare`]) splits the
+//! fleet's slots across tenants by weight. The same loop also runs
+//! single-job clusters: [`JobServer::run_job`] (what
+//! [`LiveCluster::run`](crate::LiveCluster::run) calls) submits one job
+//! in-process, marks its stage announcements with a pool-reset hint so
+//! every executor's pool restarts its MAPE-K climb at each stage boundary,
+//! and returns a [`LiveReport`] once the job is terminal.
 //!
 //! One reactor thread owns every socket — the executor wire listener, the
-//! HTTP listener, and all accepted connections — on the same
-//! [`sae_poll::Poller`] event loop the single-job reactor uses. Per
-//! wakeup it drains readiness, decodes frames / HTTP requests, runs due
-//! timers, and dispatches tasks to free slots.
+//! HTTP listener, and all accepted connections — on one
+//! [`sae_poll::Poller`] event loop. Per wakeup it drains readiness,
+//! decodes frames / HTTP requests, runs due timers, and dispatches tasks
+//! to free slots.
+//!
+//! # Failure handling
+//!
+//! * An executor silent for [`ServerConfig::heartbeat_timeout`] (or whose
+//!   socket breaks) is declared lost and its in-flight attempts requeued.
+//! * An attempt running longer than [`ServerConfig::task_deadline`] is
+//!   requeued and charged to its executor as a failure.
+//! * An executor with [`ServerConfig::blacklist_after`] failures in one
+//!   job stage is blacklisted fleet-wide (never the last usable one) until
+//!   its [`ServerConfig::probation`] ends.
+//! * A task failing [`ServerConfig::max_task_attempts`] times fails its
+//!   job.
+//! * Below [`ServerConfig::min_live_executors`] usable executors with work
+//!   pending, the loop parks in `Degraded` for up to
+//!   [`ServerConfig::degraded_wait`] — giving respawning executors a window
+//!   to rejoin — and then fails the running jobs.
 //!
 //! # Control API
 //!
@@ -62,7 +81,7 @@
 //! `JobTaskOutcome` (executors report outcomes even for attempts whose
 //! job was cancelled before they started) or by the executor being
 //! declared lost. Frames from superseded executor incarnations are fenced
-//! by the same [`EpochRegistry`] the single-job driver uses.
+//! by the [`EpochRegistry`].
 //!
 //! Each job keeps a **journal**: JSONL lifecycle lines with no wall-clock
 //! times, no executor placement and no server-assigned ids, so two
@@ -82,7 +101,8 @@ use std::time::{Duration, Instant};
 use sae_dag::sched::PendingQueue;
 use sae_dag::{Message, TraceEvent};
 use sae_metrics::{
-    render_prometheus, Counter, Gauge, MetricRegistry, RegistrySnapshot, EXPOSITION_CONTENT_TYPE,
+    render_prometheus, Counter, Gauge, Histogram, MetricRegistry, RegistrySnapshot,
+    EXPOSITION_CONTENT_TYPE,
 };
 use sae_net::http::{self, Limits, Method, Request, RequestParser, Response};
 use sae_net::sse::{SseFrame, StreamEncoder};
@@ -92,6 +112,7 @@ use crate::epochs::{Admission, EpochRegistry};
 use crate::job::{LiveJob, LiveStageKind, LiveStageSpec};
 use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent, Subscription};
+use crate::report::{LiveError, LiveReport, LiveStageReport, PoolDecision, SlotInfo};
 use crate::wire::{Frame, FrameCursor};
 
 use json::Value;
@@ -135,9 +156,26 @@ pub struct ServerConfig {
     pub max_queued: usize,
     /// A task failing this many attempts fails its job.
     pub max_task_attempts: usize,
+    /// Wall-clock bound on a single task attempt; an overrunning attempt
+    /// counts as failed on its executor and the task is requeued. `None`
+    /// disables the per-task deadline.
+    pub task_deadline: Option<Duration>,
+    /// An executor failing this many attempts in one job stage is
+    /// blacklisted (unless it is the last usable executor).
+    pub blacklist_after: usize,
+    /// How long a blacklisted executor sits out before its failure counts
+    /// reset and it may serve again.
+    pub probation: Duration,
+    /// The graceful-degradation floor: with fewer usable executors than
+    /// this (and work pending) the loop parks in a `Degraded` state
+    /// rather than failing fast.
+    pub min_live_executors: usize,
+    /// How long the loop may stay `Degraded` before it fails the running
+    /// jobs.
+    pub degraded_wait: Duration,
     /// Executor silence longer than this declares it lost.
     pub heartbeat_timeout: Duration,
-    /// Period of the heartbeat/drain sweep timer.
+    /// Period of the sweep timer (heartbeats, deadlines, probation, drain).
     pub check_interval: Duration,
     /// On shutdown, how long running jobs may drain before the server
     /// cancels them and exits.
@@ -160,6 +198,11 @@ impl Default for ServerConfig {
             max_active: 8,
             max_queued: 16,
             max_task_attempts: 4,
+            task_deadline: None,
+            blacklist_after: 3,
+            probation: Duration::from_secs(2),
+            min_live_executors: 1,
+            degraded_wait: Duration::from_secs(5),
             heartbeat_timeout: Duration::from_millis(800),
             check_interval: Duration::from_millis(50),
             shutdown_drain: Duration::from_secs(2),
@@ -180,7 +223,8 @@ pub enum JobStatus {
     Running,
     /// Every stage finished.
     Completed,
-    /// A task exceeded its attempt budget.
+    /// A task exceeded its attempt budget, or the fleet stayed below its
+    /// floor for the whole degraded window.
     Failed,
     /// Cancelled by `DELETE /jobs/:id` or server drain.
     Cancelled,
@@ -240,13 +284,16 @@ pub struct ServerReport {
     pub metrics: RegistrySnapshot,
 }
 
-/// Mutable state of one job's current stage (the multi-job analogue of
-/// the driver's `StageState`).
+/// Mutable state of one job's current stage.
 struct StageRun {
     done: Vec<bool>,
     assigned_to: Vec<Option<usize>>,
+    assigned_at: Vec<Option<Instant>>,
     failures: Vec<usize>,
     failed_on: Vec<Vec<usize>>,
+    /// Per executor: attempts that failed on it in this stage, the count
+    /// [`ServerConfig::blacklist_after`] is compared against.
+    exec_failures: Vec<usize>,
     remaining: usize,
     attempts: usize,
     failed_attempts: usize,
@@ -254,18 +301,30 @@ struct StageRun {
 }
 
 impl StageRun {
-    fn new(tasks: usize) -> Self {
+    fn new(tasks: usize, executors: usize) -> Self {
         Self {
             done: vec![false; tasks],
             assigned_to: vec![None; tasks],
+            assigned_at: vec![None; tasks],
             failures: vec![0; tasks],
             failed_on: vec![Vec::new(); tasks],
+            exec_failures: vec![0; executors],
             remaining: tasks,
             attempts: 0,
             failed_attempts: 0,
             started: Instant::now(),
         }
     }
+}
+
+/// Why a job failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Failure {
+    /// The task exhausted its attempt budget.
+    Attempts { task: usize },
+    /// The fleet stayed below its usable-executor floor for the whole
+    /// degraded window.
+    NoUsableExecutors,
 }
 
 /// One admitted job.
@@ -283,8 +342,12 @@ struct JobState {
     total_attempts: usize,
     total_failed: usize,
     stages_completed: usize,
-    /// Wall-clock seconds per completed stage, in stage order.
-    stage_durations: Vec<f64>,
+    /// One report per completed stage, in stage order.
+    stage_reports: Vec<LiveStageReport>,
+    /// Set for in-process single-job runs: stage announcements carry a
+    /// pool-reset hint.
+    reset_pools: bool,
+    failure: Option<Failure>,
     journal: String,
     /// Lines in `journal` — the next journal SSE event id.
     journal_lines: u64,
@@ -301,6 +364,8 @@ impl JobState {
 struct ExecState {
     registered: bool,
     alive: bool,
+    /// Set while the executor serves its probation.
+    blacklisted_at: Option<Instant>,
     slots: usize,
     running: usize,
     last_heartbeat: Instant,
@@ -308,12 +373,11 @@ struct ExecState {
 
 impl ExecState {
     fn usable(&self) -> bool {
-        self.registered && self.alive
+        self.registered && self.alive && self.blacklisted_at.is_none()
     }
 }
 
-/// Per-executor outbound frame queue (same shape as the single-job
-/// reactor's lanes).
+/// Per-executor outbound frame queue, flushed by the event loop.
 struct Lane {
     conn: Option<u64>,
     queue: VecDeque<u8>,
@@ -366,20 +430,33 @@ struct Conn {
     kind: ConnKind,
 }
 
-/// Cached metric handles; names follow the `server.*{tenant="x"}` label
-/// convention [`render_prometheus`] parses back into label sets.
+/// Cached metric handles; names follow the `server.*{tenant="x"}` /
+/// `server.*{executor="N"}` label convention [`render_prometheus`] parses
+/// back into label sets.
 struct ServerMetrics {
     registry: MetricRegistry,
     http_requests: Counter,
     jobs_rejected: Counter,
     tasks_dispatched: Counter,
     outcomes: Counter,
+    retries: Counter,
     executors_lost: Counter,
     reincarnations: Counter,
     frames_fenced: Counter,
+    frames_sent: Counter,
+    bytes_sent: Counter,
+    frames_received: Counter,
+    bytes_received: Counter,
+    /// Event-loop wakeups; wakeups per frame is the reactor's batching
+    /// figure of merit.
     wakeups: Counter,
     jobs_running: Gauge,
     jobs_queued: Gauge,
+    degraded: Gauge,
+    heartbeat_gap_s: Histogram,
+    tasks_finished: Vec<Counter>,
+    tasks_failed: Vec<Counter>,
+    pool_size: Vec<Gauge>,
     recorder_ring_dropped: Counter,
     recorder_sub_dropped: Counter,
     per_tenant: HashMap<String, TenantMetrics>,
@@ -394,19 +471,36 @@ struct TenantMetrics {
 }
 
 impl ServerMetrics {
-    fn new(registry: &MetricRegistry) -> Self {
+    fn new(registry: &MetricRegistry, executors: usize) -> Self {
+        let per_executor = |name: &str| -> Vec<Counter> {
+            (0..executors)
+                .map(|e| registry.counter(&format!("server.{name}{{executor=\"{e}\"}}")))
+                .collect()
+        };
         Self {
             registry: registry.clone(),
             http_requests: registry.counter("server.http_requests"),
             jobs_rejected: registry.counter("server.jobs_rejected"),
             tasks_dispatched: registry.counter("server.tasks_dispatched"),
             outcomes: registry.counter("server.task_outcomes"),
+            retries: registry.counter("server.retries"),
             executors_lost: registry.counter("server.executors_lost"),
             reincarnations: registry.counter("server.reincarnations"),
             frames_fenced: registry.counter("server.frames_fenced"),
+            frames_sent: registry.counter("server.frames_sent"),
+            bytes_sent: registry.counter("server.bytes_sent"),
+            frames_received: registry.counter("server.frames_received"),
+            bytes_received: registry.counter("server.bytes_received"),
             wakeups: registry.counter("server.wakeups"),
             jobs_running: registry.gauge("server.jobs_running"),
             jobs_queued: registry.gauge("server.jobs_queued"),
+            degraded: registry.gauge("server.degraded"),
+            heartbeat_gap_s: registry.histogram("server.heartbeat_gap_s"),
+            tasks_finished: per_executor("tasks_finished"),
+            tasks_failed: per_executor("tasks_failed"),
+            pool_size: (0..executors)
+                .map(|e| registry.gauge(&format!("server.pool_size{{executor=\"{e}\"}}")))
+                .collect(),
             recorder_ring_dropped: registry.counter("live.recorder.dropped_total{kind=\"ring\"}"),
             recorder_sub_dropped: registry
                 .counter("live.recorder.dropped_total{kind=\"subscriber\"}"),
@@ -416,28 +510,30 @@ impl ServerMetrics {
 
     /// Per-tenant handles, created on first use. Tenant names are
     /// validated at submission to a label-safe charset.
+    /// Looking up a known tenant allocates nothing: this runs once per
+    /// task outcome.
     fn tenant(&mut self, tenant: &str) -> &TenantMetrics {
-        let registry = &self.registry;
-        self.per_tenant
-            .entry(tenant.to_string())
-            .or_insert_with(|| TenantMetrics {
-                submitted: registry
-                    .counter(&format!("server.jobs_submitted{{tenant=\"{tenant}\"}}")),
-                completed: registry
-                    .counter(&format!("server.jobs_completed{{tenant=\"{tenant}\"}}")),
-                cancelled: registry
-                    .counter(&format!("server.jobs_cancelled{{tenant=\"{tenant}\"}}")),
-                failed: registry.counter(&format!("server.jobs_failed{{tenant=\"{tenant}\"}}")),
-                tasks: registry.counter(&format!("server.tasks_completed{{tenant=\"{tenant}\"}}")),
-            })
+        if !self.per_tenant.contains_key(tenant) {
+            let name = |m: &str| format!("server.{m}{{tenant=\"{tenant}\"}}");
+            let metrics = TenantMetrics {
+                submitted: self.registry.counter(&name("jobs_submitted")),
+                completed: self.registry.counter(&name("jobs_completed")),
+                cancelled: self.registry.counter(&name("jobs_cancelled")),
+                failed: self.registry.counter(&name("jobs_failed")),
+                tasks: self.registry.counter(&name("tasks_completed")),
+            };
+            self.per_tenant.insert(tenant.to_string(), metrics);
+        }
+        &self.per_tenant[tenant]
     }
 }
 
-/// A bound job server, ready to [`serve`](JobServer::serve).
+/// A bound job server, ready to [`serve`](JobServer::serve) or to
+/// [`run_job`](JobServer::run_job).
 #[derive(Debug)]
 pub struct JobServer {
     wire: TcpListener,
-    http: TcpListener,
+    http: Option<TcpListener>,
     cfg: ServerConfig,
 }
 
@@ -456,7 +552,17 @@ impl JobServer {
     ) -> io::Result<Self> {
         Ok(Self {
             wire: TcpListener::bind(wire)?,
-            http: TcpListener::bind(http)?,
+            http: Some(TcpListener::bind(http)?),
+            cfg,
+        })
+    }
+
+    /// Binds only an ephemeral loopback wire port: a control loop with no
+    /// HTTP API, for in-process single-job runs.
+    pub(crate) fn bind_wire(cfg: ServerConfig) -> io::Result<Self> {
+        Ok(Self {
+            wire: TcpListener::bind("127.0.0.1:0")?,
+            http: None,
             cfg,
         })
     }
@@ -468,7 +574,8 @@ impl JobServer {
 
     /// The address control clients connect to.
     pub fn http_addr(&self) -> io::Result<SocketAddr> {
-        self.http.local_addr()
+        let http = self.http.as_ref().ok_or(io::ErrorKind::NotFound)?;
+        http.local_addr()
     }
 
     /// Runs the serve loop until SIGINT/SIGTERM or the configured stop
@@ -476,12 +583,61 @@ impl JobServer {
     pub fn serve(self) -> io::Result<ServerReport> {
         ServerLoop::new(self.wire, self.http, self.cfg)?.run()
     }
+
+    /// Runs one job alone on the serve loop: submits `job` in-process with
+    /// pool-reset stage announcements, turns the loop until the job is
+    /// terminal or `deadline` passes, then broadcasts `Shutdown` and
+    /// reports. `observer` sees every `PoolSizeChanged` together with the
+    /// slot registry as updated by it.
+    pub fn run_job(
+        self,
+        job: &LiveJob,
+        deadline: Duration,
+        mut observer: impl FnMut(&PoolDecision, &[SlotInfo]),
+    ) -> Result<LiveReport, LiveError> {
+        let mut sl = ServerLoop::new(self.wire, self.http, self.cfg)?;
+        sl.observed = Some(Vec::new());
+        let id = sl.admit(job.clone(), "default".to_string(), 1, true);
+        let mut decisions = Vec::new();
+        let outcome = loop {
+            if let Err(e) = sl.turn() {
+                break Err(LiveError::Io(e));
+            }
+            for (decision, registry) in sl.observed.iter_mut().flat_map(|o| o.drain(..)) {
+                observer(&decision, &registry);
+                decisions.push(decision);
+            }
+            let js = &sl.jobs[&id];
+            break match (js.status, js.failure) {
+                (JobStatus::Completed, _) => Ok(()),
+                (_, Some(Failure::Attempts { task })) => {
+                    Err(LiveError::MaxAttemptsExceeded { task })
+                }
+                (_, Some(Failure::NoUsableExecutors)) => Err(LiveError::NoUsableExecutors),
+                (JobStatus::Cancelled, _) => Err(LiveError::Io(io::ErrorKind::Interrupted.into())),
+                _ if sl.started.elapsed() > deadline => Err(LiveError::DeadlineExceeded),
+                _ => continue,
+            };
+        };
+        sl.finish();
+        outcome?;
+        let js = &sl.jobs[&id];
+        Ok(LiveReport {
+            job: js.job.name.clone(),
+            runtime_secs: js.runtime_secs,
+            stages: js.stage_reports.clone(),
+            decisions,
+            registry: sl.registry(),
+            lost_executors: sl.lost.clone(),
+            metrics: sl.cfg.metrics.snapshot(),
+        })
+    }
 }
 
 struct ServerLoop {
     poller: Poller,
     wire: TcpListener,
-    http: TcpListener,
+    http: Option<TcpListener>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     freed_now: Vec<usize>,
@@ -504,6 +660,15 @@ struct ServerLoop {
     inflight: HashMap<(u64, usize), usize>,
     next_job: u64,
     draining: Option<Instant>,
+    /// When the fleet fell below its usable-executor floor with work
+    /// pending; `None` while it is not `Degraded`.
+    degraded_since: Option<Instant>,
+    /// Executors declared lost, in detection order.
+    lost: Vec<usize>,
+    /// Pool-size decisions with the slot registry each left, kept only for
+    /// a [`JobServer::run_job`] caller to drain.
+    observed: Option<Vec<(PoolDecision, Vec<SlotInfo>)>>,
+    started: Instant,
     metrics: ServerMetrics,
     /// Last metric values streamed to cluster `/events` subscribers;
     /// ticks send only what changed.
@@ -516,13 +681,17 @@ struct ServerLoop {
 }
 
 impl ServerLoop {
-    fn new(wire: TcpListener, http: TcpListener, cfg: ServerConfig) -> io::Result<Self> {
-        wire.set_nonblocking(true)?;
-        http.set_nonblocking(true)?;
+    fn new(wire: TcpListener, http: Option<TcpListener>, cfg: ServerConfig) -> io::Result<Self> {
         let poller = Poller::new()?;
+        wire.set_nonblocking(true)?;
         poller.register(&wire, WIRE_LISTENER, Interest::READABLE)?;
-        poller.register(&http, HTTP_LISTENER, Interest::READABLE)?;
+        if let Some(http) = &http {
+            http.set_nonblocking(true)?;
+            poller.register(http, HTTP_LISTENER, Interest::READABLE)?;
+        }
         let now = Instant::now();
+        let mut wheel = TimerWheel::new();
+        wheel.schedule_at(now + cfg.check_interval, TIMER_TICK);
         Ok(Self {
             poller,
             wire,
@@ -533,13 +702,14 @@ impl ServerLoop {
             exec_conn: vec![None; cfg.executors],
             next_conn: 1,
             events: Vec::new(),
-            wheel: TimerWheel::new(),
+            wheel,
             read_buf: vec![0u8; READ_CHUNK],
             epochs: EpochRegistry::new(cfg.executors),
             execs: (0..cfg.executors)
                 .map(|_| ExecState {
                     registered: false,
                     alive: false,
+                    blacklisted_at: None,
                     slots: 0,
                     running: 0,
                     last_heartbeat: now,
@@ -559,7 +729,11 @@ impl ServerLoop {
             inflight: HashMap::new(),
             next_job: 1,
             draining: None,
-            metrics: ServerMetrics::new(&cfg.metrics),
+            degraded_since: None,
+            lost: Vec::new(),
+            observed: None,
+            started: now,
+            metrics: ServerMetrics::new(&cfg.metrics, cfg.executors),
             last_metrics: BTreeMap::new(),
             published_ring_drops: 0,
             published_sub_drops: 0,
@@ -575,46 +749,8 @@ impl ServerLoop {
                 self.cfg.executors, self.cfg.max_active, self.cfg.max_queued
             )
         });
-        self.wheel
-            .schedule_at(Instant::now() + self.cfg.check_interval, TIMER_TICK);
         loop {
-            self.flush_dirty();
-            let timeout = self
-                .wheel
-                .next_timeout(Instant::now())
-                .unwrap_or(self.cfg.check_interval);
-            let mut events = std::mem::take(&mut self.events);
-            self.poller.wait(&mut events, Some(timeout))?;
-            self.metrics.wakeups.inc();
-            for ev in &events {
-                match ev.token {
-                    WIRE_LISTENER => self.accept_burst(true),
-                    HTTP_LISTENER => self.accept_burst(false),
-                    token => {
-                        let idx = (token - CONN_BASE) as usize;
-                        if idx >= self.conns.len() || self.conns[idx].is_none() {
-                            continue; // closed earlier in this batch
-                        }
-                        if ev.readable || ev.error {
-                            self.read_drain(idx);
-                        }
-                        if ev.writable {
-                            self.flush_conn(idx);
-                        }
-                    }
-                }
-            }
-            self.events = events;
-            for (_, what) in self.wheel.expire(Instant::now()) {
-                if what == TIMER_TICK {
-                    self.tick();
-                    self.wheel
-                        .schedule_at(Instant::now() + self.cfg.check_interval, TIMER_TICK);
-                }
-            }
-            self.try_assign();
-            self.pump_streams();
-            self.free.append(&mut self.freed_now);
+            self.turn()?;
             if let Some(since) = self.draining {
                 let running = self.jobs.values().any(|j| !j.status.terminal());
                 if !running || since.elapsed() > self.cfg.shutdown_drain {
@@ -622,11 +758,54 @@ impl ServerLoop {
                 }
             }
         }
-        self.finish()
+        Ok(self.finish())
     }
 
-    /// The periodic sweep: heartbeat timeouts, the shutdown latch, and
-    /// admission-gauge refresh.
+    /// One wakeup: wait for readiness or the next timer, drain what is
+    /// ready, run due timers, dispatch once per batch.
+    fn turn(&mut self) -> io::Result<()> {
+        self.flush_dirty();
+        let timeout = self
+            .wheel
+            .next_timeout(Instant::now())
+            .unwrap_or(self.cfg.check_interval);
+        let mut events = std::mem::take(&mut self.events);
+        self.poller.wait(&mut events, Some(timeout))?;
+        self.metrics.wakeups.inc();
+        for ev in &events {
+            match ev.token {
+                WIRE_LISTENER => self.accept_burst(true),
+                HTTP_LISTENER => self.accept_burst(false),
+                token => {
+                    let idx = (token - CONN_BASE) as usize;
+                    if idx >= self.conns.len() || self.conns[idx].is_none() {
+                        continue; // closed earlier in this batch
+                    }
+                    if ev.readable || ev.error {
+                        self.read_drain(idx);
+                    }
+                    if ev.writable {
+                        self.flush_conn(idx);
+                    }
+                }
+            }
+        }
+        self.events = events;
+        for (_, what) in self.wheel.expire(Instant::now()) {
+            if what == TIMER_TICK {
+                self.tick();
+                self.wheel
+                    .schedule_at(Instant::now() + self.cfg.check_interval, TIMER_TICK);
+            }
+        }
+        self.try_assign();
+        self.pump_streams();
+        self.free.append(&mut self.freed_now);
+        Ok(())
+    }
+
+    /// The periodic sweep: heartbeat timeouts, task deadlines, probation,
+    /// the degraded floor, the shutdown latch, and admission-gauge refresh.
     fn tick(&mut self) {
         let now = Instant::now();
         for e in 0..self.execs.len() {
@@ -638,6 +817,9 @@ impl ServerLoop {
                 self.declare_lost(e);
             }
         }
+        self.check_task_deadlines();
+        self.check_probation();
+        self.check_degraded();
         if self.draining.is_none()
             && (sae_poll::signal::triggered() || self.cfg.stop.load(Ordering::Relaxed))
         {
@@ -653,6 +835,144 @@ impl ServerLoop {
         self.publish_drop_totals();
         self.stream_metric_deltas();
         self.flush_streams();
+    }
+
+    /// Requeues attempts that overran [`ServerConfig::task_deadline`],
+    /// charging each overrun to its executor like any other failure.
+    fn check_task_deadlines(&mut self) {
+        let Some(deadline) = self.cfg.task_deadline else {
+            return;
+        };
+        let mut overran = Vec::new();
+        for (&job, js) in self
+            .jobs
+            .iter()
+            .filter(|(_, j)| j.status == JobStatus::Running)
+        {
+            for (task, at) in js.st.assigned_at.iter().enumerate() {
+                if matches!(at, Some(at) if at.elapsed() > deadline) {
+                    overran.push((job, task));
+                }
+            }
+        }
+        for (job, task) in overran {
+            let Some(e) = self.inflight.remove(&(job, task)) else {
+                continue;
+            };
+            self.log.error(|| {
+                format!("job {job} task {task} overran its {deadline:?} deadline on executor {e}; requeueing")
+            });
+            self.execs[e].running = self.execs[e].running.saturating_sub(1);
+            self.charge_failure(job, task, e);
+        }
+    }
+
+    /// Lets blacklisted-but-alive executors back in once their probation
+    /// elapses, with clean per-stage failure counts.
+    fn check_probation(&mut self) {
+        for e in 0..self.execs.len() {
+            let served = matches!(
+                self.execs[e].blacklisted_at,
+                Some(at) if at.elapsed() >= self.cfg.probation
+            );
+            if served && self.execs[e].alive {
+                self.execs[e].blacklisted_at = None;
+                self.clear_failures(e);
+                self.record_slots(e);
+                self.log
+                    .info(|| format!("executor {e} finished probation: un-blacklisted"));
+            }
+        }
+    }
+
+    /// Gives `e` a clean failure count in every job's current stage.
+    fn clear_failures(&mut self, e: usize) {
+        for js in self.jobs.values_mut() {
+            if let Some(n) = js.st.exec_failures.get_mut(e) {
+                *n = 0;
+            }
+        }
+    }
+
+    /// Graceful degradation: below the usable-executor floor with work
+    /// pending the loop parks (bounded by [`ServerConfig::degraded_wait`])
+    /// instead of failing fast, giving reincarnating executors a window to
+    /// rejoin; past the window it fails every running job.
+    fn check_degraded(&mut self) {
+        let live = self.execs.iter().filter(|e| e.usable()).count();
+        let floor = self.cfg.min_live_executors.max(1);
+        let pending = self
+            .jobs
+            .values()
+            .any(|j| j.status == JobStatus::Running && j.st.remaining > 0);
+        let below = pending && live < floor && self.execs.iter().any(|e| e.registered);
+        match self.degraded_since {
+            None if below => {
+                self.degraded_since = Some(Instant::now());
+                self.metrics.degraded.set(1.0);
+                let at = self.cfg.recorder.now();
+                self.cfg
+                    .recorder
+                    .push(LiveEvent::Degraded { live, floor, at });
+                self.log.error(|| {
+                    format!(
+                        "degraded: {live} usable executors < floor {floor}; \
+                         parking running jobs for up to {:?}",
+                        self.cfg.degraded_wait
+                    )
+                });
+            }
+            Some(since) if !below || since.elapsed() > self.cfg.degraded_wait => {
+                self.degraded_since = None;
+                self.metrics.degraded.set(0.0);
+                let waited = since.elapsed().as_secs_f64();
+                if !below {
+                    let at = self.cfg.recorder.now();
+                    self.cfg
+                        .recorder
+                        .push(LiveEvent::DegradedRecovered { waited, at });
+                    self.log.info(|| {
+                        format!("recovered above the executor floor after {waited:.2}s degraded")
+                    });
+                    return;
+                }
+                // The window closed with the fleet still short: give up.
+                let running = self
+                    .jobs
+                    .iter()
+                    .filter(|(_, j)| j.status == JobStatus::Running);
+                let running: Vec<u64> = running.map(|(&id, _)| id).collect();
+                for job in running {
+                    self.fail_job(job, Failure::NoUsableExecutors);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Records the slot-registry entry of one executor on the timeline.
+    fn record_slots(&self, e: usize) {
+        let ex = &self.execs[e];
+        self.cfg.recorder.push(LiveEvent::SlotRegistryChanged {
+            executor: e,
+            slots: ex.slots,
+            free: ex.slots.saturating_sub(ex.running),
+            at: self.cfg.recorder.now(),
+        });
+    }
+
+    /// The slot registry, indexed by executor id.
+    fn registry(&self) -> Vec<SlotInfo> {
+        self.execs
+            .iter()
+            .map(|e| SlotInfo {
+                registered: e.registered,
+                alive: e.alive,
+                blacklisted: e.blacklisted_at.is_some(),
+                slots: e.slots,
+                free: e.slots.saturating_sub(e.running),
+            })
+            .collect()
     }
 
     /// Mirrors the recorder's cumulative drop counters (ring overwrites
@@ -684,17 +1004,7 @@ impl ServerLoop {
         if !any_cluster_stream {
             return;
         }
-        let snap = self.cfg.metrics.snapshot();
-        let mut cur: BTreeMap<String, f64> = BTreeMap::new();
-        for (k, v) in &snap.counters {
-            cur.insert(k.clone(), *v as f64);
-        }
-        for (k, v) in &snap.float_counters {
-            cur.insert(k.clone(), *v);
-        }
-        for (k, v) in &snap.gauges {
-            cur.insert(k.clone(), *v);
-        }
+        let cur = metric_values(&self.cfg.metrics.snapshot());
         let changed: Vec<String> = cur
             .iter()
             .filter(|(k, v)| self.last_metrics.get(*k) != Some(v))
@@ -743,7 +1053,7 @@ impl ServerLoop {
 
     /// After the loop: cancel whatever is still running, broadcast
     /// `Shutdown`, flush, and build the report.
-    fn finish(&mut self) -> io::Result<ServerReport> {
+    fn finish(&mut self) -> ServerReport {
         let ids: Vec<u64> = self.jobs.keys().copied().collect();
         for id in ids {
             if !self.jobs[&id].status.terminal() {
@@ -780,7 +1090,6 @@ impl ServerLoop {
         }
         self.broadcast(&Frame::Shutdown);
         self.drain_writes();
-        self.drain_http_writes();
         let jobs = self
             .jobs
             .values()
@@ -799,20 +1108,20 @@ impl ServerLoop {
                 journal: j.journal.clone(),
             })
             .collect();
-        Ok(ServerReport {
+        ServerReport {
             jobs,
             metrics: self.cfg.metrics.snapshot(),
-        })
+        }
     }
 
     // ---- connection plumbing ------------------------------------------
 
     fn accept_burst(&mut self, is_wire: bool) {
         loop {
-            let accepted = if is_wire {
-                self.wire.accept()
-            } else {
-                self.http.accept()
+            let accepted = match (is_wire, &self.http) {
+                (true, _) => self.wire.accept(),
+                (false, Some(http)) => http.accept(),
+                (false, None) => return,
             };
             match accepted {
                 Ok((stream, _)) => {
@@ -920,8 +1229,9 @@ impl ServerLoop {
                 }
             };
             let conn_id = conn.conn_id;
+            let bytes = cursor.last_frame_len();
             match *executor {
-                Some(e) => self.handle_wire_frame(e, conn_id, frame),
+                Some(e) => self.handle_wire_frame(e, conn_id, frame, bytes),
                 None => {
                     let Frame::Register { executor: e, slots } = frame else {
                         self.close_conn(idx);
@@ -964,59 +1274,31 @@ impl ServerLoop {
                     let close_requested = req
                         .header("connection")
                         .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-                    if let Some(routed) = self.route_events(&req) {
-                        match routed {
-                            Ok((head, state)) => {
-                                let Some(conn) = self.conns[idx].as_mut() else {
-                                    return false;
-                                };
-                                // Bound the kernel's queue in front of
-                                // this long-lived stream: once a stalled
-                                // consumer fills it, writes block and the
-                                // HIGH_WATER/drop discipline takes over.
-                                let _ = sae_poll::set_send_buffer(&conn.stream, HIGH_WATER);
-                                if let ConnKind::Http { out, stream, .. } = &mut conn.kind {
-                                    out.extend(head);
-                                    *stream = Some(state);
-                                }
-                                // Replay anything already available (a
-                                // per-job stream's existing journal) and
-                                // push the head out without waiting for
-                                // the coalescing tick.
-                                self.pump_stream(idx);
-                                self.flush_conn(idx);
-                                return self.conns[idx].is_some();
+                    let resp = match self.route_events(&req) {
+                        Some(Ok((head, state))) => {
+                            let Some(conn) = self.conns[idx].as_mut() else {
+                                return false;
+                            };
+                            // Bound the kernel's queue in front of this
+                            // long-lived stream: once a stalled consumer
+                            // fills it, writes block and the HIGH_WATER/drop
+                            // discipline takes over.
+                            let _ = sae_poll::set_send_buffer(&conn.stream, HIGH_WATER);
+                            if let ConnKind::Http { out, stream, .. } = &mut conn.kind {
+                                out.extend(head);
+                                *stream = Some(state);
                             }
-                            Err(resp) => {
-                                self.scratch.clear();
-                                resp.encode(&mut self.scratch);
-                                let Some(conn) = self.conns[idx].as_mut() else {
-                                    return false;
-                                };
-                                if let ConnKind::Http { out, close, .. } = &mut conn.kind {
-                                    out.extend(self.scratch.iter().copied());
-                                    *close |= close_requested;
-                                }
-                                self.flush_conn(idx);
-                                if self.conns[idx].is_none() {
-                                    return false;
-                                }
-                                continue;
-                            }
+                            // Replay anything already available (a per-job
+                            // stream's existing journal) and push the head
+                            // out without waiting for the coalescing tick.
+                            self.pump_stream(idx);
+                            self.flush_conn(idx);
+                            return self.conns[idx].is_some();
                         }
-                    }
-                    let resp = self.route(&req);
-                    self.scratch.clear();
-                    resp.encode(&mut self.scratch);
-                    let Some(conn) = self.conns[idx].as_mut() else {
-                        return false;
+                        Some(Err(resp)) => resp,
+                        None => self.route(&req),
                     };
-                    if let ConnKind::Http { out, close, .. } = &mut conn.kind {
-                        out.extend(self.scratch.iter().copied());
-                        *close |= close_requested;
-                    }
-                    self.flush_conn(idx);
-                    if self.conns[idx].is_none() {
+                    if !self.respond(idx, &resp, close_requested) {
                         return false;
                     }
                 }
@@ -1024,18 +1306,29 @@ impl ServerLoop {
                 Err(e) => {
                     // Malformed request: answer with the mapped status and
                     // close — framing can no longer be trusted.
-                    let resp = Response::error(e.status(), &format!("{e:?}"));
-                    self.scratch.clear();
-                    resp.encode(&mut self.scratch);
-                    if let ConnKind::Http { out, close, .. } = &mut conn.kind {
-                        out.extend(self.scratch.iter().copied());
-                        *close = true;
-                    }
-                    self.flush_conn(idx);
+                    self.respond(idx, &Response::error(e.status(), &format!("{e:?}")), true);
                     return false;
                 }
             }
         }
+    }
+
+    /// Queues `resp` on HTTP connection `idx` and flushes it; `close`
+    /// closes the connection once the bytes are out. Returns whether the
+    /// connection is still open.
+    fn respond(&mut self, idx: usize, resp: &Response, close: bool) -> bool {
+        self.scratch.clear();
+        resp.encode(&mut self.scratch);
+        if let Some(Conn {
+            kind: ConnKind::Http { out, close: c, .. },
+            ..
+        }) = self.conns[idx].as_mut()
+        {
+            out.extend(self.scratch.iter().copied());
+            *c |= close;
+        }
+        self.flush_conn(idx);
+        self.conns[idx].is_some()
     }
 
     /// Flushes whatever the connection has queued: the executor lane for
@@ -1064,100 +1357,58 @@ impl ServerLoop {
         let Some(idx) = self.exec_conn[e] else {
             return;
         };
-        loop {
-            let lane = &mut self.lanes[e];
-            let conn = match self.conns[idx].as_mut() {
-                Some(c) => c,
-                None => return,
-            };
-            if lane.conn != Some(conn.conn_id) {
-                return; // lane retargeted to a newer incarnation
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
+        };
+        let lane = &mut self.lanes[e];
+        if lane.conn != Some(conn.conn_id) {
+            return; // lane retargeted to a newer incarnation
+        }
+        match write_out(&mut conn.stream, &mut lane.queue) {
+            Flushed::Empty => self.want_write(idx, false),
+            Flushed::Blocked if lane.queue.len() > HARD_CAP => {
+                self.log.error(|| {
+                    format!("executor {e} write queue overflowed; closing its connection")
+                });
+                self.close_conn(idx);
             }
-            if lane.queue.is_empty() {
-                if conn.want_write {
-                    conn.want_write = false;
-                    let _ = self.poller.modify(
-                        &conn.stream,
-                        idx as u64 + CONN_BASE,
-                        Interest::READABLE,
-                    );
-                }
-                return;
-            }
-            let (a, b) = lane.queue.as_slices();
-            let bufs = [IoSlice::new(a), IoSlice::new(b)];
-            match conn.stream.write_vectored(&bufs) {
-                Ok(0) => return self.close_conn(idx),
-                Ok(n) => {
-                    lane.queue.drain(..n);
-                }
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    if lane.queue.len() > HARD_CAP {
-                        self.log.error(|| {
-                            format!("executor {e} write queue overflowed; closing its connection")
-                        });
-                        return self.close_conn(idx);
-                    }
-                    if !conn.want_write {
-                        conn.want_write = true;
-                        let _ = self.poller.modify(
-                            &conn.stream,
-                            idx as u64 + CONN_BASE,
-                            Interest::BOTH,
-                        );
-                    }
-                    return;
-                }
-                Err(_) => return self.close_conn(idx),
-            }
+            Flushed::Blocked => self.want_write(idx, true),
+            Flushed::Broken => self.close_conn(idx),
         }
     }
 
     fn flush_http(&mut self, idx: usize) {
-        loop {
-            let conn = match self.conns[idx].as_mut() {
-                Some(c) => c,
-                None => return,
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
+        };
+        let ConnKind::Http { out, close, .. } = &mut conn.kind else {
+            return;
+        };
+        let close = *close;
+        match write_out(&mut conn.stream, out) {
+            Flushed::Empty if close => self.close_conn(idx),
+            Flushed::Empty => self.want_write(idx, false),
+            Flushed::Blocked => self.want_write(idx, true),
+            Flushed::Broken => self.close_conn(idx),
+        }
+    }
+
+    /// Arms `EPOLLOUT` on a connection while its socket refuses queued
+    /// bytes, and disarms it once the queue drains.
+    fn want_write(&mut self, idx: usize, want: bool) {
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
+        };
+        if conn.want_write != want {
+            conn.want_write = want;
+            let interest = if want {
+                Interest::BOTH
+            } else {
+                Interest::READABLE
             };
-            let ConnKind::Http { out, close, .. } = &mut conn.kind else {
-                return;
-            };
-            if out.is_empty() {
-                if *close {
-                    return self.close_conn(idx);
-                }
-                if conn.want_write {
-                    conn.want_write = false;
-                    let _ = self.poller.modify(
-                        &conn.stream,
-                        idx as u64 + CONN_BASE,
-                        Interest::READABLE,
-                    );
-                }
-                return;
-            }
-            let (a, b) = out.as_slices();
-            let bufs = [IoSlice::new(a), IoSlice::new(b)];
-            match conn.stream.write_vectored(&bufs) {
-                Ok(0) => return self.close_conn(idx),
-                Ok(n) => {
-                    out.drain(..n);
-                }
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    if !conn.want_write {
-                        conn.want_write = true;
-                        let _ = self.poller.modify(
-                            &conn.stream,
-                            idx as u64 + CONN_BASE,
-                            Interest::BOTH,
-                        );
-                    }
-                    return;
-                }
-                Err(_) => return self.close_conn(idx),
-            }
+            let _ = self
+                .poller
+                .modify(&conn.stream, idx as u64 + CONN_BASE, interest);
         }
     }
 
@@ -1188,44 +1439,21 @@ impl ServerLoop {
         }
     }
 
-    /// Final flush of queued executor frames (the `Shutdown` broadcast),
-    /// bounded by [`FINAL_FLUSH`].
+    /// Final flush of every queued byte — the `Shutdown` broadcast and
+    /// stream terminators above all — bounded by [`FINAL_FLUSH`].
     fn drain_writes(&mut self) {
         let deadline = Instant::now() + FINAL_FLUSH;
         loop {
-            let mut blocked = false;
-            for e in 0..self.lanes.len() {
-                self.flush_executor(e);
-                if !self.lanes[e].queue.is_empty() && self.exec_conn[e].is_some() {
-                    blocked = true;
-                }
-            }
-            let now = Instant::now();
-            if !blocked || now >= deadline {
-                return;
-            }
-            let mut events = std::mem::take(&mut self.events);
-            let nap = (deadline - now).min(Duration::from_millis(5));
-            let _ = self.poller.wait(&mut events, Some(nap));
-            self.events = events;
-        }
-    }
-
-    /// Final flush of buffered HTTP bytes (stream terminators above all),
-    /// bounded by [`FINAL_FLUSH`].
-    fn drain_http_writes(&mut self) {
-        let deadline = Instant::now() + FINAL_FLUSH;
-        loop {
             for idx in 0..self.conns.len() {
-                if self.conns[idx].is_some() {
-                    self.flush_conn(idx);
-                }
+                self.flush_conn(idx);
             }
-            let blocked = self
-                .conns
-                .iter()
-                .flatten()
-                .any(|c| matches!(&c.kind, ConnKind::Http { out, .. } if !out.is_empty()));
+            let blocked = self.conns.iter().flatten().any(|c| match &c.kind {
+                ConnKind::Http { out, .. } => !out.is_empty(),
+                ConnKind::Wire {
+                    executor: Some(e), ..
+                } => self.lanes[*e].conn == Some(c.conn_id) && !self.lanes[*e].queue.is_empty(),
+                ConnKind::Wire { .. } => false,
+            });
             let now = Instant::now();
             if !blocked || now >= deadline {
                 return;
@@ -1245,15 +1473,18 @@ impl ServerLoop {
         lane.conn = Some(conn);
         lane.queue.clear();
         if reg.reincarnation {
-            self.metrics.reincarnations.inc();
             self.requeue_inflight_on(e);
+            self.reincarnated(e, reg.epoch);
         }
         let ex = &mut self.execs[e];
         ex.registered = true;
         ex.alive = true;
+        ex.blacklisted_at = None;
         ex.slots = slots;
         ex.running = 0;
         ex.last_heartbeat = Instant::now();
+        self.clear_failures(e);
+        self.record_slots(e);
         self.log.info(|| {
             if reg.reincarnation {
                 format!(
@@ -1267,9 +1498,25 @@ impl ServerLoop {
         self.announce_jobs_to(e);
     }
 
-    fn handle_wire_frame(&mut self, e: usize, conn: u64, frame: Frame) {
+    /// Books executor `e`'s return to the fleet under a new `epoch`.
+    fn reincarnated(&mut self, e: usize, epoch: u64) {
+        self.metrics.reincarnations.inc();
+        self.cfg.recorder.push(LiveEvent::ExecutorReincarnated {
+            executor: e,
+            epoch,
+            at: self.cfg.recorder.now(),
+        });
+    }
+
+    fn handle_wire_frame(&mut self, e: usize, conn: u64, frame: Frame, bytes: usize) {
+        let recorder = self.cfg.recorder.clone();
         if self.epochs.admit(e, conn) == Admission::Stale {
             self.metrics.frames_fenced.inc();
+            recorder.push(LiveEvent::EpochFenced {
+                executor: e,
+                kind: frame.kind_str(),
+                at: recorder.now(),
+            });
             self.log.debug(|| {
                 format!(
                     "fenced a {} frame from a stale incarnation of executor {e}",
@@ -1284,21 +1531,62 @@ impl ServerLoop {
             let epoch = self.epochs.resurrect(e);
             self.execs[e].alive = true;
             self.execs[e].running = 0;
-            self.metrics.reincarnations.inc();
+            self.execs[e].last_heartbeat = Instant::now();
+            self.reincarnated(e, epoch);
             self.log
                 .info(|| format!("executor {e} resurrected on live traffic (epoch {epoch})"));
+            self.record_slots(e);
             self.announce_jobs_to(e);
         }
+        self.metrics.frames_received.inc();
+        self.metrics.bytes_received.add(bytes as u64);
+        recorder.push(LiveEvent::FrameReceived {
+            executor: e,
+            kind: frame.kind_str(),
+            bytes,
+            at: recorder.now(),
+        });
         match frame {
             Frame::Core(Message::Heartbeat { executor }) if executor == e => {
-                self.execs[e].last_heartbeat = Instant::now();
+                let now = Instant::now();
+                let gap = now
+                    .duration_since(self.execs[e].last_heartbeat)
+                    .as_secs_f64();
+                self.execs[e].last_heartbeat = now;
+                self.metrics.heartbeat_gap_s.record(gap);
+                recorder.push(LiveEvent::Heartbeat {
+                    executor: e,
+                    gap,
+                    at: recorder.now(),
+                });
             }
             Frame::Core(Message::PoolSizeChanged { executor, size }) if executor == e => {
                 // §5.4: the executor's pool resized; scheduling follows.
                 self.execs[e].last_heartbeat = Instant::now();
                 self.execs[e].slots = size;
+                self.metrics.pool_size[e].set(size as f64);
+                recorder.push(LiveEvent::Trace(TraceEvent::PoolResized {
+                    executor: e,
+                    to: size,
+                    at: recorder.now(),
+                }));
+                self.record_slots(e);
                 self.log
                     .debug(|| format!("executor {e} resized its pool to {size}"));
+                if self.observed.is_some() {
+                    let at = self.started.elapsed().as_secs_f64();
+                    let entry = (
+                        PoolDecision {
+                            at,
+                            executor: e,
+                            size,
+                        },
+                        self.registry(),
+                    );
+                    if let Some(observed) = &mut self.observed {
+                        observed.push(entry);
+                    }
+                }
             }
             Frame::JobTaskOutcome { job, task, ok, .. } => {
                 self.execs[e].last_heartbeat = Instant::now();
@@ -1311,15 +1599,13 @@ impl ServerLoop {
                 at_bits,
             } if executor == e => {
                 self.execs[e].last_heartbeat = Instant::now();
-                self.cfg.recorder.note_zeta_streamed(e);
-                self.cfg
-                    .recorder
-                    .push(LiveEvent::Trace(TraceEvent::IntervalClosed {
-                        executor: e,
-                        threads,
-                        zeta: f64::from_bits(zeta_bits),
-                        at: f64::from_bits(at_bits),
-                    }));
+                recorder.note_zeta_streamed(e);
+                recorder.push(LiveEvent::Trace(TraceEvent::IntervalClosed {
+                    executor: e,
+                    threads,
+                    zeta: f64::from_bits(zeta_bits),
+                    at: f64::from_bits(at_bits),
+                }));
             }
             Frame::TaskSpan {
                 key,
@@ -1328,7 +1614,7 @@ impl ServerLoop {
                 end_bits,
                 ok,
             } if executor == e => {
-                self.cfg.recorder.push(LiveEvent::TaskSpan {
+                recorder.push(LiveEvent::TaskSpan {
                     job: key.job,
                     stage: key.stage,
                     task: key.task,
@@ -1340,8 +1626,9 @@ impl ServerLoop {
                     ok,
                 });
             }
-            // Single-job frames (TaskFinished/TaskFailed) or echoes: the
-            // server only speaks the job-scoped protocol.
+            // Mis-addressed core messages, duplicate Registers, or
+            // executor-bound frames echoed back: the protocol is defensive
+            // against confused peers.
             _ => {}
         }
     }
@@ -1353,7 +1640,7 @@ impl ServerLoop {
             .jobs
             .values()
             .filter(|j| j.status == JobStatus::Running)
-            .map(stage_frame)
+            .map(|j| stage_frame(j, self.cfg.executors))
             .collect();
         for frame in frames {
             self.send_frame(e, &frame);
@@ -1363,7 +1650,15 @@ impl ServerLoop {
     fn declare_lost(&mut self, e: usize) {
         self.execs[e].alive = false;
         self.execs[e].running = 0;
+        self.lost.push(e);
         self.metrics.executors_lost.inc();
+        self.cfg
+            .recorder
+            .push(LiveEvent::Trace(TraceEvent::ExecutorFailed {
+                executor: e,
+                at: self.cfg.recorder.now(),
+            }));
+        self.record_slots(e);
         self.log
             .error(|| format!("executor {e} declared lost; requeueing its work"));
         self.requeue_inflight_on(e);
@@ -1422,20 +1717,58 @@ impl ServerLoop {
         {
             return;
         }
+        if !ok {
+            return self.charge_failure(job, task, e);
+        }
         js.st.assigned_to[task] = None;
-        if ok {
-            js.st.done[task] = true;
-            js.st.remaining -= 1;
-            let tenant = js.tenant.clone();
-            self.metrics.tenant(&tenant).tasks.inc();
-            if self.jobs[&job].st.remaining == 0 {
-                self.finish_stage(job);
-            }
-        } else {
-            self.record_failure(job, task, e);
+        js.st.assigned_at[task] = None;
+        js.st.done[task] = true;
+        js.st.remaining -= 1;
+        self.metrics.tenant(&js.tenant).tasks.inc();
+        self.metrics.tasks_finished[e].inc();
+        self.cfg
+            .recorder
+            .push(LiveEvent::Trace(TraceEvent::TaskFinished {
+                task,
+                attempt: js.st.failures[task],
+                executor: e,
+                at: self.cfg.recorder.now(),
+            }));
+        if js.st.remaining == 0 {
+            self.finish_stage(job);
         }
     }
 
+    /// An attempt failed on `e` through its own fault (a failed outcome
+    /// or an overrun): count it against `e` in the job's stage, blacklist
+    /// `e` past [`ServerConfig::blacklist_after`], and requeue the task.
+    fn charge_failure(&mut self, job: u64, task: usize, e: usize) {
+        let Some(js) = self.jobs.get_mut(&job) else {
+            return;
+        };
+        js.st.exec_failures[e] += 1;
+        let failures = js.st.exec_failures[e];
+        if failures >= self.cfg.blacklist_after
+            && self.execs[e].blacklisted_at.is_none()
+            && self.execs.iter().filter(|x| x.usable()).count() > 1
+        {
+            self.execs[e].blacklisted_at = Some(Instant::now());
+            self.cfg
+                .recorder
+                .push(LiveEvent::Trace(TraceEvent::ExecutorBlacklisted {
+                    executor: e,
+                    at: self.cfg.recorder.now(),
+                }));
+            self.record_slots(e);
+            self.log.error(|| {
+                format!("executor {e} blacklisted after {failures} failures in job {job}'s stage")
+            });
+        }
+        self.record_failure(job, task, e);
+    }
+
+    /// Books one failed attempt of `task` on `e` and requeues it, failing
+    /// the job once the task's attempt budget is spent.
     fn record_failure(&mut self, job: u64, task: usize, e: usize) {
         let Some(js) = self.jobs.get_mut(&job) else {
             return;
@@ -1444,21 +1777,32 @@ impl ServerLoop {
             return;
         }
         js.st.assigned_to[task] = None;
+        js.st.assigned_at[task] = None;
         js.st.failures[task] += 1;
         js.st.failed_attempts += 1;
         js.total_failed += 1;
         if !js.st.failed_on[task].contains(&e) {
             js.st.failed_on[task].push(e);
         }
+        self.metrics.tasks_failed[e].inc();
+        self.cfg
+            .recorder
+            .push(LiveEvent::Trace(TraceEvent::TaskFailed {
+                task,
+                attempt: js.st.failures[task] - 1,
+                executor: e,
+                at: self.cfg.recorder.now(),
+            }));
         if js.st.failures[task] >= self.cfg.max_task_attempts {
             self.log
                 .error(|| format!("job {job} task {task} exceeded its attempt budget"));
-            self.fail_job(job, task);
+            self.fail_job(job, Failure::Attempts { task });
             return;
         }
         if !js.queue.contains(task) {
             let preferred = [task % self.cfg.executors.max(1)];
             js.queue.push(task, &preferred);
+            self.metrics.retries.inc();
         }
     }
 
@@ -1469,7 +1813,7 @@ impl ServerLoop {
         let spec = &js.job.stages[js.stage_idx];
         let tasks = spec.tasks;
         let kind = spec.kind;
-        js.st = StageRun::new(tasks);
+        js.st = StageRun::new(tasks, executors);
         js.queue.reset(tasks, executors);
         for t in 0..tasks {
             js.queue.push(t, &[t % executors.max(1)]);
@@ -1481,7 +1825,11 @@ impl ServerLoop {
             tasks
         );
         journal_line(&recorder, js, line);
-        let frame = stage_frame(js);
+        recorder.push(LiveEvent::Trace(TraceEvent::StageStarted {
+            stage: js.stage_idx,
+            at: recorder.now(),
+        }));
+        let frame = stage_frame(js, executors);
         self.log
             .info(|| format!("job {job} stage started: {tasks} tasks"));
         self.broadcast(&frame);
@@ -1507,45 +1855,68 @@ impl ServerLoop {
             stage, js.st.attempts, js.st.failed_attempts
         );
         journal_line(&recorder, js, line);
+        recorder.push(LiveEvent::Trace(TraceEvent::StageFinished {
+            stage,
+            at: recorder.now(),
+        }));
+        let spec = &js.job.stages[stage];
+        js.stage_reports.push(LiveStageReport {
+            name: spec.name.clone(),
+            tasks: spec.tasks,
+            attempts: js.st.attempts,
+            failed_attempts: js.st.failed_attempts,
+            duration_secs: js.st.started.elapsed().as_secs_f64(),
+        });
         js.total_attempts += js.st.attempts;
         // Absorbed into the running total: zero the stage counter so the
         // live views' `total + current` sum stays exact after the final
         // stage, which no `begin_stage` call will replace.
         js.st.attempts = 0;
         js.st.failed_attempts = 0;
-        js.stage_durations
-            .push(js.st.started.elapsed().as_secs_f64());
         js.stages_completed += 1;
         js.stage_idx += 1;
         if js.stage_idx == js.job.stages.len() {
-            js.status = JobStatus::Completed;
-            let line = format!(
-                "{{\"event\":\"completed\",\"stages\":{}}}",
-                js.job.stages.len()
-            );
-            journal_line(&recorder, js, line);
-            js.runtime_secs = js
-                .started_at
-                .map(|t| t.elapsed().as_secs_f64())
-                .unwrap_or(0.0);
-            status_event(&recorder, js);
-            let tenant = js.tenant.clone();
-            self.metrics.tenant(&tenant).completed.inc();
-            self.retire_job(job);
-            self.log.info(|| format!("job {job} completed"));
+            self.complete_job(job);
         } else {
             self.begin_stage(job);
         }
     }
 
-    fn fail_job(&mut self, job: u64, task: usize) {
+    fn complete_job(&mut self, job: u64) {
+        let recorder = self.cfg.recorder.clone();
+        let js = self.jobs.get_mut(&job).expect("job exists");
+        js.status = JobStatus::Completed;
+        let line = format!(
+            "{{\"event\":\"completed\",\"stages\":{}}}",
+            js.job.stages.len()
+        );
+        journal_line(&recorder, js, line);
+        js.runtime_secs = js
+            .started_at
+            .map(|t| t.elapsed().as_secs_f64())
+            .unwrap_or(0.0);
+        status_event(&recorder, js);
+        let tenant = js.tenant.clone();
+        self.metrics.tenant(&tenant).completed.inc();
+        self.retire_job(job);
+        self.log.info(|| format!("job {job} completed"));
+    }
+
+    fn fail_job(&mut self, job: u64, failure: Failure) {
         let recorder = self.cfg.recorder.clone();
         let js = self.jobs.get_mut(&job).expect("job exists");
         js.status = JobStatus::Failed;
-        let line = format!(
-            "{{\"event\":\"failed\",\"stage\":{},\"task\":{}}}",
-            js.stage_idx, task
-        );
+        js.failure = Some(failure);
+        let line = match failure {
+            Failure::Attempts { task } => format!(
+                "{{\"event\":\"failed\",\"stage\":{},\"task\":{task}}}",
+                js.stage_idx
+            ),
+            Failure::NoUsableExecutors => format!(
+                "{{\"event\":\"failed\",\"stage\":{},\"reason\":\"no-usable-executors\"}}",
+                js.stage_idx
+            ),
+        };
         journal_line(&recorder, js, line);
         js.runtime_secs = js
             .started_at
@@ -1614,9 +1985,13 @@ impl ServerLoop {
         js.status = JobStatus::Running;
         js.started_at = Some(Instant::now());
         status_event(&recorder, js);
-        let weight = js.weight;
+        let (weight, empty) = (js.weight, js.job.stages.is_empty());
         self.fair.admit(job, weight);
-        self.begin_stage(job);
+        if empty {
+            self.complete_job(job);
+        } else {
+            self.begin_stage(job);
+        }
     }
 
     /// Hands free slots to queued tasks, fair-share order, until nothing
@@ -1659,10 +2034,20 @@ impl ServerLoop {
                 self.fair.charge(job);
                 let js = self.jobs.get_mut(&job).expect("job exists");
                 js.st.assigned_to[task] = Some(e);
+                js.st.assigned_at[task] = Some(Instant::now());
                 js.st.attempts += 1;
                 self.inflight.insert((job, task), e);
                 self.execs[e].running += 1;
                 self.metrics.tasks_dispatched.inc();
+                self.cfg
+                    .recorder
+                    .push(LiveEvent::Trace(TraceEvent::TaskStarted {
+                        task,
+                        attempt: js.st.failures[task],
+                        executor: e,
+                        speculative: false,
+                        at: self.cfg.recorder.now(),
+                    }));
                 if !self.send_frame(e, &Frame::AssignJobTask { job, task }) {
                     // No usable lane: treat like a broken socket.
                     self.declare_lost(e);
@@ -1686,6 +2071,15 @@ impl ServerLoop {
             self.dirty.push(e);
         }
         lane.queue.extend(self.scratch.iter().copied());
+        let bytes = self.scratch.len();
+        self.metrics.frames_sent.inc();
+        self.metrics.bytes_sent.add(bytes as u64);
+        self.cfg.recorder.push(LiveEvent::FrameSent {
+            executor: e,
+            kind: frame.kind_str(),
+            bytes,
+            at: self.cfg.recorder.now(),
+        });
         true
     }
 
@@ -1701,44 +2095,42 @@ impl ServerLoop {
 
     fn route(&mut self, req: &Request) -> Response {
         let segments = req.path_segments();
-        match (req.method, segments.as_slice()) {
-            (Method::Get, ["healthz"]) => Response::json(
+        let job = match segments.as_slice() {
+            ["jobs", id, ..] => self.parse_id(id),
+            _ => None,
+        };
+        match (req.method, segments.as_slice(), job) {
+            (Method::Get, ["healthz"], _) => Response::json(
                 200,
                 format!(
                     "{{\"status\":\"ok\",\"draining\":{}}}",
                     self.draining.is_some()
                 ),
             ),
-            (Method::Get, ["metrics"]) => {
+            (Method::Get, ["metrics"], _) => {
                 let mut resp = Response::text(200, render_prometheus(&self.cfg.metrics));
                 resp.content_type = EXPOSITION_CONTENT_TYPE;
                 resp
             }
-            (Method::Post, ["jobs"]) => self.submit(req),
-            (Method::Get, ["jobs"]) => self.list_jobs(),
-            (Method::Get, ["jobs", id]) => match self.parse_id(id) {
-                Some(job) => self.job_status(job),
-                None => Response::error(404, "no such job"),
-            },
-            (Method::Delete, ["jobs", id]) => match self.parse_id(id) {
-                Some(job) => self.cancel_request(job),
-                None => Response::error(404, "no such job"),
-            },
-            (Method::Get, ["jobs", id, "report"]) => match self.parse_id(id) {
-                Some(job) => self.job_report(job),
-                None => Response::error(404, "no such job"),
-            },
-            (Method::Get, ["jobs", id, "journal"]) => match self.parse_id(id) {
-                Some(job) => Response::text(200, self.jobs[&job].journal.clone()),
-                None => Response::error(404, "no such job"),
-            },
-            (Method::Get, ["jobs", id, "trace"]) => match self.parse_id(id) {
-                Some(_) => Response::json(200, self.cfg.recorder.chrome_trace()),
-                None => Response::error(404, "no such job"),
-            },
+            (Method::Post, ["jobs"], _) => self.submit(req),
+            (Method::Get, ["jobs"], _) => self.list_jobs(),
+            (Method::Get, ["jobs", _], Some(job)) => self.job_status(job),
+            (Method::Delete, ["jobs", _], Some(job)) => self.cancel_request(job),
+            (Method::Get, ["jobs", _, "report"], Some(job)) => self.job_report(job),
+            (Method::Get, ["jobs", _, "journal"], Some(job)) => {
+                Response::text(200, self.jobs[&job].journal.clone())
+            }
+            (Method::Get, ["jobs", _, "trace"], Some(_)) => {
+                Response::json(200, self.cfg.recorder.chrome_trace())
+            }
+            (Method::Get | Method::Delete, ["jobs", _], None)
+            | (Method::Get, ["jobs", _, "report" | "journal" | "trace"], None) => {
+                Response::error(404, "no such job")
+            }
             (
                 _,
                 ["jobs"] | ["jobs", _] | ["jobs", _, _] | ["metrics"] | ["healthz"] | ["events"],
+                _,
             ) => Response::error(405, "method not allowed on this route"),
             _ => Response::error(404, "unknown route"),
         }
@@ -1755,21 +2147,10 @@ impl ServerLoop {
                 StreamEncoder::sse(200).head(&mut head);
                 // A new subscriber needs the full metric state once;
                 // ticks only stream deltas from here on.
-                let snap = self.cfg.metrics.snapshot();
-                let mut all: Vec<String> = Vec::new();
-                for (k, v) in &snap.counters {
-                    all.push(format!(
-                        "\"{}\":{}",
-                        http::escape_json(k),
-                        fmt_num(*v as f64)
-                    ));
-                }
-                for (k, v) in &snap.float_counters {
-                    all.push(format!("\"{}\":{}", http::escape_json(k), fmt_num(*v)));
-                }
-                for (k, v) in &snap.gauges {
-                    all.push(format!("\"{}\":{}", http::escape_json(k), fmt_num(*v)));
-                }
+                let all: Vec<String> = metric_values(&self.cfg.metrics.snapshot())
+                    .iter()
+                    .map(|(k, v)| format!("\"{}\":{}", http::escape_json(k), fmt_num(*v)))
+                    .collect();
                 push_sse(
                     &mut head,
                     &SseFrame::new(format!("{{{}}}", all.join(","))).with_event("metrics"),
@@ -1961,30 +2342,45 @@ impl ServerLoop {
             Err(detail) => return Response::error(400, detail),
         };
         let queue_full = self.waiting.len() >= self.cfg.max_queued;
-        let start_now = self.active_jobs() < self.cfg.max_active;
-        if !start_now && queue_full {
+        if self.active_jobs() >= self.cfg.max_active && queue_full {
             self.metrics.jobs_rejected.inc();
             return Response::error(429, "admission queue is full");
         }
+        let id = self.admit(spec.job, spec.tenant, spec.weight, false);
+        Response::json(
+            201,
+            format!(
+                "{{\"job\":{},\"status\":\"{}\"}}",
+                id,
+                self.jobs[&id].status.as_str()
+            ),
+        )
+    }
+
+    /// Admits a validated job: journals its submission and starts it, or
+    /// queues it when [`ServerConfig::max_active`] jobs already run.
+    fn admit(&mut self, job: LiveJob, tenant: String, weight: u64, reset_pools: bool) -> u64 {
         let id = self.next_job;
         self.next_job += 1;
         let mut js = JobState {
             id,
-            tenant: spec.tenant.clone(),
-            weight: spec.weight,
+            tenant,
+            weight,
             status: JobStatus::Queued,
             stage_idx: 0,
             queue: PendingQueue::new(),
-            st: StageRun::new(0),
+            st: StageRun::new(0, 0),
             started_at: None,
             runtime_secs: 0.0,
             total_attempts: 0,
             total_failed: 0,
             stages_completed: 0,
-            stage_durations: Vec::new(),
+            stage_reports: Vec::new(),
+            reset_pools,
+            failure: None,
             journal: String::new(),
             journal_lines: 0,
-            job: spec.job,
+            job,
         };
         let line = format!(
             "{{\"event\":\"submitted\",\"name\":\"{}\",\"tenant\":\"{}\",\"weight\":{},\"stages\":{}}}",
@@ -1997,18 +2393,13 @@ impl ServerLoop {
         let tenant = js.tenant.clone();
         self.metrics.tenant(&tenant).submitted.inc();
         self.jobs.insert(id, js);
-        let status = if start_now {
+        if self.active_jobs() < self.cfg.max_active {
             self.start_job(id);
-            JobStatus::Running
         } else {
             self.waiting.push_back(id);
             status_event(&self.cfg.recorder, &self.jobs[&id]);
-            JobStatus::Queued
-        };
-        Response::json(
-            201,
-            format!("{{\"job\":{},\"status\":\"{}\"}}", id, status.as_str()),
-        )
+        }
+        id
     }
 
     fn cancel_request(&mut self, job: u64) -> Response {
@@ -2075,7 +2466,7 @@ impl ServerLoop {
                     kind_name(s.kind),
                     s.tasks,
                     i < js.stages_completed,
-                    js.stage_durations.get(i).copied().unwrap_or(0.0)
+                    js.stage_reports.get(i).map_or(0.0, |r| r.duration_secs)
                 )
             })
             .collect();
@@ -2123,11 +2514,44 @@ fn status_event(recorder: &FlightRecorder, js: &JobState) {
     });
 }
 
+/// How emptying a write queue onto a non-blocking socket ended.
+enum Flushed {
+    Empty,
+    Blocked,
+    Broken,
+}
+
+/// Moves `queue` onto `stream` with vectored writes until it empties, the
+/// socket would block, or the connection breaks.
+fn write_out(stream: &mut TcpStream, queue: &mut VecDeque<u8>) -> Flushed {
+    while !queue.is_empty() {
+        let (a, b) = queue.as_slices();
+        match stream.write_vectored(&[IoSlice::new(a), IoSlice::new(b)]) {
+            Ok(0) => return Flushed::Broken,
+            Ok(n) => {
+                queue.drain(..n);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Flushed::Blocked,
+            Err(_) => return Flushed::Broken,
+        }
+    }
+    Flushed::Empty
+}
+
 /// Encodes one SSE frame as a single HTTP chunk.
 fn push_sse(out: &mut Vec<u8>, frame: &SseFrame) {
     let mut payload = Vec::with_capacity(frame.data.len() + 32);
     frame.encode(&mut payload);
     sae_net::sse::encode_chunk(&payload, out);
+}
+
+/// Every counter, float counter and gauge of a snapshot as one map.
+fn metric_values(snap: &RegistrySnapshot) -> BTreeMap<String, f64> {
+    let counters = snap.counters.iter().map(|(k, v)| (k.clone(), *v as f64));
+    let floats = snap.float_counters.iter().map(|(k, v)| (k.clone(), *v));
+    let gauges = snap.gauges.iter().map(|(k, v)| (k.clone(), *v));
+    counters.chain(floats).chain(gauges).collect()
 }
 
 /// Formats a metric value as a JSON number (integers without a fraction).
@@ -2217,8 +2641,10 @@ fn cluster_frame(seq: u64, ev: &LiveEvent) -> Option<SseFrame> {
     )
 }
 
-/// The current stage announcement for one job.
-fn stage_frame(js: &JobState) -> Frame {
+/// The current stage announcement for one job. Single-job runs carry the
+/// per-executor task-count hint the simulated engine passes to
+/// `stage_started`, which makes every executor reset its pool.
+fn stage_frame(js: &JobState, executors: usize) -> Frame {
     let spec = &js.job.stages[js.stage_idx];
     Frame::JobStageStart {
         job: js.id,
@@ -2227,6 +2653,9 @@ fn stage_frame(js: &JobState) -> Frame {
         tasks: spec.tasks,
         records_per_task: spec.records_per_task,
         seed: spec.seed,
+        hint: js
+            .reset_pools
+            .then(|| (spec.tasks / executors.max(1)).max(1)),
     }
 }
 
@@ -2436,40 +2865,31 @@ mod tests {
         assert!(cfg.shutdown_drain > Duration::ZERO);
     }
 
-    /// A server loop with no attached executors, one Running job with
-    /// `tasks` tasks, and task 0 booked in-flight on executor 1.
-    fn loop_with_booked_task(tasks: usize) -> ServerLoop {
+    /// A socket-free loop (no executor ever connects) running one
+    /// `tasks`-task Terasort as job 1, with every executor registered and
+    /// alive at 4 slots.
+    fn loop_with_job(cfg: ServerConfig, tasks: usize) -> ServerLoop {
         let wire = TcpListener::bind("127.0.0.1:0").unwrap();
-        let http = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut sl = ServerLoop::new(wire, http, ServerConfig::default()).unwrap();
+        let mut sl = ServerLoop::new(wire, None, cfg).unwrap();
         let spec =
             parse_job_spec(&format!("{{\"tasks\":{tasks},\"records_per_task\":1}}")).unwrap();
-        let mut st = StageRun::new(tasks);
-        st.assigned_to[0] = Some(1);
-        sl.jobs.insert(
-            1,
-            JobState {
-                id: 1,
-                tenant: spec.tenant.clone(),
-                weight: spec.weight,
-                status: JobStatus::Running,
-                stage_idx: 0,
-                queue: PendingQueue::new(),
-                st,
-                started_at: Some(Instant::now()),
-                runtime_secs: 0.0,
-                total_attempts: 1,
-                total_failed: 0,
-                stages_completed: 0,
-                stage_durations: Vec::new(),
-                journal: String::new(),
-                journal_lines: 0,
-                job: spec.job,
-            },
-        );
-        sl.execs[1].running = 1;
-        sl.inflight.insert((1, 0), 1);
+        assert_eq!(sl.admit(spec.job, spec.tenant, spec.weight, false), 1);
+        for ex in &mut sl.execs {
+            ex.registered = true;
+            ex.alive = true;
+            ex.slots = 4;
+        }
         sl
+    }
+
+    /// Books task `task` of job 1 in flight on executor `e`, as a dispatch
+    /// would.
+    fn book(sl: &mut ServerLoop, task: usize, e: usize) {
+        let st = &mut sl.jobs.get_mut(&1).unwrap().st;
+        st.assigned_to[task] = Some(e);
+        st.assigned_at[task] = Some(Instant::now());
+        sl.inflight.insert((1, task), e);
+        sl.execs[e].running += 1;
     }
 
     #[test]
@@ -2477,7 +2897,8 @@ mod tests {
         // Task (1,0) was requeued off executor 0 and reassigned to 1; a
         // late outcome replayed by resurrected executor 0 must not free
         // executor 1's booking or mark the task done.
-        let mut sl = loop_with_booked_task(2);
+        let mut sl = loop_with_job(ServerConfig::default(), 2);
+        book(&mut sl, 0, 1);
         sl.handle_outcome(1, 0, 0, true);
         assert_eq!(sl.inflight.get(&(1, 0)), Some(&1), "booking was dropped");
         assert_eq!(sl.execs[1].running, 1, "assignee's slot was over-freed");
@@ -2490,6 +2911,89 @@ mod tests {
         assert_eq!(sl.execs[1].running, 0);
         assert!(sl.jobs[&1].st.done[0]);
         assert_eq!(sl.jobs[&1].st.remaining, 1);
+    }
+
+    #[test]
+    fn overrunning_attempt_is_requeued_and_charged_to_its_executor() {
+        let cfg = ServerConfig {
+            task_deadline: Some(Duration::from_millis(1)),
+            ..ServerConfig::default()
+        };
+        let mut sl = loop_with_job(cfg, 2);
+        book(&mut sl, 0, 1);
+        std::thread::sleep(Duration::from_millis(5));
+        sl.check_task_deadlines();
+        let st = &sl.jobs[&1].st;
+        assert!(sl.inflight.is_empty(), "the overrun kept its booking");
+        assert_eq!(sl.execs[1].running, 0, "the overrun kept its slot");
+        assert_eq!(st.assigned_to[0], None);
+        assert_eq!(st.failures[0], 1);
+        assert_eq!(st.failed_on[0], vec![1]);
+        assert_eq!(st.exec_failures, vec![0, 1], "charged to the slow executor");
+        assert_eq!(sl.jobs[&1].status, JobStatus::Running);
+        // The slow attempt's late outcome no longer settles anything.
+        sl.handle_outcome(1, 0, 1, true);
+        assert!(!sl.jobs[&1].st.done[0]);
+    }
+
+    #[test]
+    fn stage_failures_blacklist_the_executor_until_probation_ends() {
+        let cfg = ServerConfig {
+            blacklist_after: 2,
+            probation: Duration::from_millis(20),
+            ..ServerConfig::default()
+        };
+        let mut sl = loop_with_job(cfg, 4);
+        book(&mut sl, 0, 1);
+        book(&mut sl, 1, 1);
+        sl.handle_outcome(1, 0, 1, false);
+        assert!(sl.execs[1].usable(), "blacklisted before the threshold");
+        sl.handle_outcome(1, 1, 1, false);
+        assert!(!sl.execs[1].usable(), "not blacklisted at the threshold");
+        assert!(sl.registry()[1].blacklisted);
+        assert!(sl.execs[0].usable());
+
+        sl.check_probation();
+        assert!(!sl.execs[1].usable(), "probation ended early");
+        std::thread::sleep(Duration::from_millis(25));
+        sl.check_probation();
+        assert!(sl.execs[1].usable(), "probation never lifted the blacklist");
+        assert_eq!(sl.jobs[&1].st.exec_failures[1], 0, "failure count kept");
+
+        // The last usable executor is never blacklisted.
+        sl.execs[0].alive = false;
+        book(&mut sl, 2, 1);
+        book(&mut sl, 3, 1);
+        sl.handle_outcome(1, 2, 1, false);
+        sl.handle_outcome(1, 3, 1, false);
+        assert!(sl.execs[1].usable(), "blacklisted the last usable executor");
+    }
+
+    #[test]
+    fn below_the_floor_the_loop_parks_degraded_then_fails_running_jobs() {
+        let cfg = ServerConfig {
+            degraded_wait: Duration::from_millis(20),
+            ..ServerConfig::default()
+        };
+        let mut sl = loop_with_job(cfg, 2);
+        for ex in &mut sl.execs {
+            ex.alive = false;
+        }
+        sl.check_degraded();
+        assert!(sl.degraded_since.is_some(), "never parked");
+        assert_eq!(sl.jobs[&1].status, JobStatus::Running, "failed fast");
+        assert_eq!(sl.cfg.metrics.snapshot().gauges["server.degraded"], 1.0);
+
+        std::thread::sleep(Duration::from_millis(30));
+        sl.check_degraded();
+        let js = &sl.jobs[&1];
+        assert_eq!(js.status, JobStatus::Failed);
+        assert_eq!(js.failure, Some(Failure::NoUsableExecutors));
+        assert_eq!(
+            js.journal.lines().last(),
+            Some(r#"{"event":"failed","stage":0,"reason":"no-usable-executors"}"#)
+        );
+        assert!(sl.degraded_since.is_none());
     }
 
     #[test]

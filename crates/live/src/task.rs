@@ -20,9 +20,9 @@ use sae_workloads::spill::{read_records, write_records, RECORD_BYTES};
 
 use crate::job::LiveStageKind;
 
-/// Job id used by the single-job `Run` path, which predates multi-job
-/// serving: its artifacts live in the `j0-` namespace.
-pub const SINGLE_JOB: u64 = 0;
+/// Job id of a [`LiveCluster`](crate::LiveCluster) run, the one submission
+/// to its driver: its artifacts live in the `j1-` namespace.
+pub const SINGLE_JOB: u64 = 1;
 
 /// Path of job `job` task `task`'s spill partition inside `dir`.
 ///

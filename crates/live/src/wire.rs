@@ -5,7 +5,7 @@
 //! [`sae_dag::codec::encode_body`] produces, so the §5.4 messages have one
 //! encoding whether they travel through the simulator's mailboxes or a TCP
 //! socket. The envelope adds only what a real cluster needs around them —
-//! executor registration, stage dissemination, task completion, shutdown —
+//! executor registration, stage dissemination, task outcomes, shutdown —
 //! in the same `[tag u8][u64 BE]*` style, framed by the same
 //! `[u32 BE length]` prefix ([`sae_dag::codec::split_frame`]).
 //!
@@ -25,10 +25,6 @@ use crate::job::LiveStageKind;
 const TAG_CORE: u8 = 0x10;
 /// Envelope tag: executor registration.
 const TAG_REGISTER: u8 = 0x11;
-/// Envelope tag: stage dissemination from the driver.
-const TAG_STAGE_START: u8 = 0x12;
-/// Envelope tag: successful task completion.
-const TAG_TASK_FINISHED: u8 = 0x13;
 /// Envelope tag: driver tells executors the job is over.
 const TAG_SHUTDOWN: u8 = 0x14;
 /// Envelope tag: driver tells executors a peer was declared lost.
@@ -60,30 +56,6 @@ pub enum Frame {
         /// Initial slot count.
         slots: usize,
     },
-    /// The driver announces a stage; executors reset probes and pools.
-    StageStart {
-        /// Stage index within the job.
-        stage: usize,
-        /// What the stage's tasks do.
-        kind: LiveStageKind,
-        /// Number of tasks in the stage.
-        tasks: usize,
-        /// Records each task generates or sorts.
-        records_per_task: usize,
-        /// Base RNG seed for the stage's data.
-        seed: u64,
-        /// Per-executor task-count hint fed to the MAPE-K controller.
-        hint: usize,
-    },
-    /// An executor reports a task attempt succeeded.
-    TaskFinished {
-        /// Task id.
-        task: usize,
-        /// Reporting executor.
-        executor: usize,
-        /// Attempt ordinal (0-based).
-        attempt: usize,
-    },
     /// The driver is done; executors drain and exit.
     Shutdown,
     /// The driver declared an executor lost and is redistributing its
@@ -95,11 +67,13 @@ pub enum Frame {
         /// The executor that was declared lost.
         executor: usize,
     },
-    /// The job server announces one job's current stage. Unlike
-    /// [`Frame::StageStart`] this does not reset the executor's pool or
-    /// probes — many jobs run interleaved on one fleet, so per-stage
-    /// resets would thrash the MAPE-K controller; it only installs the
-    /// stage parameters task assignments for `job` will reference.
+    /// The control loop announces one job's current stage: it installs
+    /// the stage parameters task assignments for `job` will reference.
+    /// Without a `hint` it leaves the executor's pool and probes alone —
+    /// many served jobs run interleaved on one fleet, and per-stage resets
+    /// would thrash the MAPE-K controller. A single-job run sets `hint`,
+    /// and the executor then resets its probes and its pool the way the
+    /// simulated engine does at a stage boundary.
     JobStageStart {
         /// Server-assigned job id.
         job: u64,
@@ -113,6 +87,9 @@ pub enum Frame {
         records_per_task: usize,
         /// Base RNG seed for the stage's data.
         seed: u64,
+        /// Per-executor task-count hint for the pool reset; carried on
+        /// the wire as an optional trailing field.
+        hint: Option<usize>,
     },
     /// The job server assigns one task of one job's current stage.
     AssignJobTask {
@@ -121,9 +98,8 @@ pub enum Frame {
         /// Task id within the job's current stage.
         task: usize,
     },
-    /// An executor reports a job-task attempt finished (success or
-    /// failure — the multi-job analogue of [`Frame::TaskFinished`] and
-    /// `Message::TaskFailed` in one frame).
+    /// An executor reports a job-task attempt finished, with success or
+    /// failure in one frame.
     JobTaskOutcome {
         /// Job the task belongs to.
         job: u64,
@@ -189,8 +165,6 @@ impl Frame {
             Frame::Core(Message::Heartbeat { .. }) => "heartbeat",
             Frame::Core(Message::TaskFailed { .. }) => "task-failed",
             Frame::Register { .. } => "register",
-            Frame::StageStart { .. } => "stage-start",
-            Frame::TaskFinished { .. } => "task-finished",
             Frame::Shutdown => "shutdown",
             Frame::FaultNotice { .. } => "fault-notice",
             Frame::JobStageStart { .. } => "job-stage-start",
@@ -222,32 +196,6 @@ impl Frame {
                 codec::put_u64(out, executor as u64);
                 codec::put_u64(out, slots as u64);
             }
-            Frame::StageStart {
-                stage,
-                kind,
-                tasks,
-                records_per_task,
-                seed,
-                hint,
-            } => {
-                out.push(TAG_STAGE_START);
-                codec::put_u64(out, stage as u64);
-                codec::put_u64(out, kind.to_wire());
-                codec::put_u64(out, tasks as u64);
-                codec::put_u64(out, records_per_task as u64);
-                codec::put_u64(out, seed);
-                codec::put_u64(out, hint as u64);
-            }
-            Frame::TaskFinished {
-                task,
-                executor,
-                attempt,
-            } => {
-                out.push(TAG_TASK_FINISHED);
-                codec::put_u64(out, task as u64);
-                codec::put_u64(out, executor as u64);
-                codec::put_u64(out, attempt as u64);
-            }
             Frame::Shutdown => out.push(TAG_SHUTDOWN),
             Frame::FaultNotice { executor } => {
                 out.push(TAG_FAULT_NOTICE);
@@ -260,6 +208,7 @@ impl Frame {
                 tasks,
                 records_per_task,
                 seed,
+                hint,
             } => {
                 out.push(TAG_JOB_STAGE_START);
                 codec::put_u64(out, job);
@@ -268,6 +217,9 @@ impl Frame {
                 codec::put_u64(out, tasks as u64);
                 codec::put_u64(out, records_per_task as u64);
                 codec::put_u64(out, seed);
+                if let Some(hint) = hint {
+                    codec::put_u64(out, hint as u64);
+                }
             }
             Frame::AssignJobTask { job, task } => {
                 out.push(TAG_ASSIGN_JOB_TASK);
@@ -343,25 +295,6 @@ impl Frame {
                     slots: codec::get_usize(body, 9)?,
                 })
             }
-            TAG_STAGE_START => {
-                expect_len(body, 6)?;
-                Ok(Frame::StageStart {
-                    stage: codec::get_usize(body, 1)?,
-                    kind: LiveStageKind::from_wire(codec::get_u64(body, 9)?)?,
-                    tasks: codec::get_usize(body, 17)?,
-                    records_per_task: codec::get_usize(body, 25)?,
-                    seed: codec::get_u64(body, 33)?,
-                    hint: codec::get_usize(body, 41)?,
-                })
-            }
-            TAG_TASK_FINISHED => {
-                expect_len(body, 3)?;
-                Ok(Frame::TaskFinished {
-                    task: codec::get_usize(body, 1)?,
-                    executor: codec::get_usize(body, 9)?,
-                    attempt: codec::get_usize(body, 17)?,
-                })
-            }
             TAG_SHUTDOWN => {
                 expect_len(body, 0)?;
                 Ok(Frame::Shutdown)
@@ -373,7 +306,12 @@ impl Frame {
                 })
             }
             TAG_JOB_STAGE_START => {
-                expect_len(body, 6)?;
+                let hint = if body.len() == 1 + 8 * 7 {
+                    Some(codec::get_usize(body, 49)?)
+                } else {
+                    expect_len(body, 6)?;
+                    None
+                };
                 Ok(Frame::JobStageStart {
                     job: codec::get_u64(body, 1)?,
                     stage: codec::get_usize(body, 9)?,
@@ -381,6 +319,7 @@ impl Frame {
                     tasks: codec::get_usize(body, 25)?,
                     records_per_task: codec::get_usize(body, 33)?,
                     seed: codec::get_u64(body, 41)?,
+                    hint,
                 })
             }
             TAG_ASSIGN_JOB_TASK => {
@@ -486,10 +425,10 @@ impl FrameWriter {
 ///
 /// Feed it raw bytes as they arrive — at arbitrary boundaries, split
 /// mid-header or mid-body, or with several frames merged into one read —
-/// and pull complete [`Frame`]s out. Both the blocking [`FrameReader`]
-/// and the reactor's per-connection state are thin shells over this
-/// type, which is what lets a property test assert the two decode
-/// identical frame sequences from identical byte streams.
+/// and pull complete [`Frame`]s out. Both the executors' blocking
+/// [`FrameReader`] and the control loop's per-connection state are thin
+/// shells over this type, which is what lets a property test assert the
+/// two decode identical frame sequences from identical byte streams.
 #[derive(Debug, Default)]
 pub struct FrameCursor {
     buf: Vec<u8>,
@@ -639,44 +578,14 @@ mod tests {
 
     fn all_frames() -> Vec<Frame> {
         vec![
-            Frame::Core(Message::AssignTask {
-                task: 3,
-                executor: 1,
-            }),
             Frame::Core(Message::PoolSizeChanged {
                 executor: 2,
                 size: 4,
             }),
             Frame::Core(Message::Heartbeat { executor: 0 }),
-            Frame::Core(Message::TaskFailed {
-                task: 9,
-                executor: 1,
-                attempt: 2,
-            }),
             Frame::Register {
                 executor: 1,
                 slots: 8,
-            },
-            Frame::StageStart {
-                stage: 1,
-                kind: LiveStageKind::Sort,
-                tasks: 24,
-                records_per_task: 20_000,
-                seed: 0xDEAD_BEEF,
-                hint: 8,
-            },
-            Frame::StageStart {
-                stage: 0,
-                kind: LiveStageKind::Spill,
-                tasks: 24,
-                records_per_task: 20_000,
-                seed: 7,
-                hint: 8,
-            },
-            Frame::TaskFinished {
-                task: 5,
-                executor: 2,
-                attempt: 0,
             },
             Frame::Shutdown,
             Frame::FaultNotice { executor: 1 },
@@ -687,6 +596,16 @@ mod tests {
                 tasks: 16,
                 records_per_task: 5_000,
                 seed: 0xFEED,
+                hint: None,
+            },
+            Frame::JobStageStart {
+                job: 1,
+                stage: 0,
+                kind: LiveStageKind::Spill,
+                tasks: 24,
+                records_per_task: 20_000,
+                seed: 7,
+                hint: Some(8),
             },
             Frame::AssignJobTask { job: 12, task: 7 },
             Frame::JobTaskOutcome {
@@ -756,13 +675,14 @@ mod tests {
     #[test]
     fn every_prefix_is_incomplete_not_an_error() {
         let mut buf = Vec::new();
-        Frame::StageStart {
+        Frame::JobStageStart {
+            job: 1,
             stage: 0,
             kind: LiveStageKind::Spill,
             tasks: 4,
             records_per_task: 100,
             seed: 1,
-            hint: 2,
+            hint: Some(2),
         }
         .encode(&mut buf);
         for cut in 0..buf.len() {
@@ -781,18 +701,19 @@ mod tests {
     #[test]
     fn bad_stage_kind_rejected() {
         let mut buf = Vec::new();
-        Frame::StageStart {
+        Frame::JobStageStart {
+            job: 1,
             stage: 0,
             kind: LiveStageKind::Sort,
             tasks: 1,
             records_per_task: 1,
             seed: 0,
-            hint: 1,
+            hint: None,
         }
         .encode(&mut buf);
-        // Corrupt the kind field (bytes 9..17 of the body, after the prefix
-        // and envelope tag) to an undefined discriminant.
-        let kind_at = LEN_PREFIX + 1 + 8;
+        // Corrupt the kind field (bytes 17..25 of the body, after the
+        // prefix, envelope tag, job and stage) to an undefined discriminant.
+        let kind_at = LEN_PREFIX + 1 + 16;
         buf[kind_at..kind_at + 8].copy_from_slice(&99u64.to_be_bytes());
         assert!(Frame::decode(&buf).is_err());
     }
@@ -823,8 +744,8 @@ mod tests {
         let mut kinds: Vec<&str> = all_frames().iter().map(Frame::kind_str).collect();
         kinds.sort_unstable();
         kinds.dedup();
-        // all_frames carries two StageStart and two JobTaskOutcome samples,
-        // each pair sharing one label.
+        // all_frames carries two JobStageStart and two JobTaskOutcome
+        // samples, each pair sharing one label.
         assert_eq!(kinds.len(), all_frames().len() - 2);
     }
 
@@ -865,10 +786,12 @@ mod tests {
     fn cursor_compacts_without_losing_partial_frames() {
         // Push far past COMPACT_AT with a partial frame straddling the
         // compaction point; every frame must still come out intact.
-        let frame = Frame::TaskFinished {
+        let frame = Frame::JobTaskOutcome {
+            job: 1,
             task: 1,
             executor: 2,
             attempt: 0,
+            ok: true,
         };
         let mut one = Vec::new();
         frame.encode(&mut one);

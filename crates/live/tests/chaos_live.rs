@@ -152,7 +152,7 @@ fn crashed_executor_reincarnates_and_the_job_completes() {
         .expect("crashed executor never reincarnated");
     assert!(epoch >= 2, "rebirth must open a later epoch, got {epoch}");
     let metrics = cluster.metrics().snapshot();
-    assert!(metrics.counters["live.driver.reincarnations"] >= 1);
+    assert!(metrics.counters["server.reincarnations"] >= 1);
     assert!(report.registry[1].alive, "executor 1 should be back");
     cluster.shutdown().unwrap();
 }

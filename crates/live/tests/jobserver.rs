@@ -15,6 +15,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use sae_live::executor::LiveExecutorConfig;
+use sae_live::server::json::{self, Value};
 use sae_live::server::{JobServer, ServerConfig, ServerReport};
 use sae_live::{LiveExecutor, TempDir};
 use sae_net::http::parse_response;
@@ -39,25 +40,14 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
     (resp.status, resp.body_str())
 }
 
-/// Crude field extraction from the server's flat JSON bodies.
+/// One field of a server JSON body: a string's contents, or a number's
+/// text (job ids print without a fraction).
 fn json_field(body: &str, key: &str) -> String {
-    let pat = format!("\"{key}\":");
-    let start = body.find(&pat).unwrap_or_else(|| {
-        panic!("no field {key} in {body}");
-    }) + pat.len();
-    let rest = &body[start..];
-    let end = rest
-        .char_indices()
-        .find(|(i, c)| {
-            if rest.starts_with('"') {
-                *i > 0 && *c == '"'
-            } else {
-                *c == ',' || *c == '}'
-            }
-        })
-        .map(|(i, _)| if rest.starts_with('"') { i + 1 } else { i })
-        .unwrap_or(rest.len());
-    rest[..end].trim_matches('"').to_string()
+    match json::parse(body).ok().and_then(|doc| doc.get(key).cloned()) {
+        Some(Value::Str(s)) => s,
+        Some(Value::Num(n)) => n.to_string(),
+        _ => panic!("no field {key} in {body}"),
+    }
 }
 
 /// Opens `GET {path}` as a streaming SSE client and collects frames until

@@ -99,7 +99,7 @@ fn process_fleet_runs_a_job_end_to_end() {
         );
     }
     // Frames really crossed sockets owned by other processes.
-    assert!(report.metrics.counters["live.driver.frames_received"] > 0);
+    assert!(report.metrics.counters["server.frames_received"] > 0);
 
     cluster.shutdown().unwrap();
     // The children's journals came home in the shutdown merge.

@@ -1,12 +1,12 @@
 //! Property tests for the reactor's sans-io frame reassembly.
 //!
-//! The reactor decodes frames through [`FrameCursor`]: bytes arrive in
-//! whatever chunks a non-blocking socket hands each readiness event —
+//! The control loop decodes frames through [`FrameCursor`]: bytes arrive
+//! in whatever chunks a non-blocking socket hands each readiness event —
 //! split mid-header, split mid-body, several frames merged into one
 //! read — and the cursor must reassemble the exact frame sequence. The
-//! blocking reference transport decodes the same wire bytes through
-//! [`FrameReader`]. These properties push identical byte streams, cut
-//! at arbitrary boundaries, through both paths and require byte-level
+//! executors decode the same wire bytes through the blocking
+//! [`FrameReader`]. These properties push identical byte streams, cut at
+//! arbitrary boundaries, through both paths and require byte-level
 //! agreement with each other and with the frames that were encoded.
 
 use std::io::Write;
@@ -32,22 +32,28 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
     )
         .prop_map(
             |(variant, task, executor, small, seed, flag)| match variant {
-                0 => Frame::Core(Message::AssignTask { task, executor }),
+                0 => Frame::AssignJobTask {
+                    job: seed % 1024,
+                    task,
+                },
                 1 => Frame::Core(Message::PoolSizeChanged {
                     executor,
                     size: small,
                 }),
                 2 => Frame::Core(Message::Heartbeat { executor }),
-                3 => Frame::Core(Message::TaskFailed {
+                3 => Frame::JobTaskOutcome {
+                    job: seed % 1024,
                     task,
                     executor,
                     attempt: small % 4,
-                }),
+                    ok: flag,
+                },
                 4 => Frame::Register {
                     executor,
                     slots: small,
                 },
-                5 => Frame::StageStart {
+                5 => Frame::JobStageStart {
+                    job: seed % 1024,
                     stage: task % 8,
                     kind: if flag {
                         LiveStageKind::Sort
@@ -57,13 +63,11 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
                     tasks: task + 1,
                     records_per_task: (seed % 100_000) as usize + 1,
                     seed,
-                    hint: small,
+                    // Both announcement shapes: with and without the
+                    // optional trailing pool-reset hint.
+                    hint: (seed % 2 == 0).then_some(small),
                 },
-                6 => Frame::TaskFinished {
-                    task,
-                    executor,
-                    attempt: small % 4,
-                },
+                6 => Frame::JobEnd { job: seed % 1024 },
                 7 => Frame::Shutdown,
                 _ => Frame::FaultNotice { executor },
             },
@@ -124,7 +128,7 @@ proptest! {
         prop_assert_eq!(cursor.pending_bytes(), 0, "trailing bytes left unconsumed");
     }
 
-    /// Equivalence with the blocking reference: the same chunk pattern
+    /// Equivalence with the executors' blocking reader: the same chunk pattern
     /// goes to a [`FrameCursor`] directly and over a real non-blocking
     /// loopback socket read by [`FrameReader`] (whose reads hit
     /// `WouldBlock` at whatever boundaries the kernel picks). Both must

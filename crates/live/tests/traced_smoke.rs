@@ -6,91 +6,15 @@
 use std::time::Duration;
 
 use sae_core::MapeConfig;
+use sae_live::server::json;
 use sae_live::{terasort, ClusterConfig, LiveCluster};
 
-/// A minimal recursive-descent JSON syntax checker: returns the byte
-/// offset after one complete value, or panics with context. Enough to
-/// assert the Chrome trace is *well-formed JSON*, not just brace-balanced.
-fn check_json(bytes: &[u8], mut i: usize) -> usize {
-    fn skip_ws(bytes: &[u8], mut i: usize) -> usize {
-        while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\n' | b'\r') {
-            i += 1;
-        }
-        i
-    }
-    i = skip_ws(bytes, i);
-    assert!(i < bytes.len(), "unexpected end of JSON");
-    match bytes[i] {
-        b'{' | b'[' => {
-            let (close, is_obj) = if bytes[i] == b'{' {
-                (b'}', true)
-            } else {
-                (b']', false)
-            };
-            i = skip_ws(bytes, i + 1);
-            if bytes[i] == close {
-                return i + 1;
-            }
-            loop {
-                if is_obj {
-                    i = skip_ws(bytes, i);
-                    assert_eq!(bytes[i], b'"', "object key must be a string at {i}");
-                    i = check_json(bytes, i);
-                    i = skip_ws(bytes, i);
-                    assert_eq!(bytes[i], b':', "missing ':' at {i}");
-                    i += 1;
-                }
-                i = check_json(bytes, i);
-                i = skip_ws(bytes, i);
-                match bytes[i] {
-                    b',' => i += 1,
-                    c if c == close => return i + 1,
-                    c => panic!("unexpected {:?} at {i}", c as char),
-                }
-            }
-        }
-        b'"' => {
-            i += 1;
-            while bytes[i] != b'"' {
-                if bytes[i] == b'\\' {
-                    i += 1;
-                }
-                i += 1;
-            }
-            i + 1
-        }
-        b't' => {
-            assert_eq!(&bytes[i..i + 4], b"true");
-            i + 4
-        }
-        b'f' => {
-            assert_eq!(&bytes[i..i + 5], b"false");
-            i + 5
-        }
-        b'n' => {
-            assert_eq!(&bytes[i..i + 4], b"null");
-            i + 4
-        }
-        _ => {
-            let start = i;
-            while i < bytes.len()
-                && matches!(bytes[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                i += 1;
-            }
-            assert!(i > start, "unexpected byte at {start}");
-            i
-        }
-    }
-}
-
+/// Asserts `text` is one well-formed JSON document, not just
+/// brace-balanced.
 fn assert_wellformed_json(text: &str) {
-    let bytes = text.as_bytes();
-    let end = check_json(bytes, 0);
-    assert!(
-        text[end..].trim().is_empty(),
-        "trailing garbage after JSON value"
-    );
+    if let Err(e) = json::parse(text) {
+        panic!("malformed JSON ({e}): {}", &text[..text.len().min(200)]);
+    }
 }
 
 fn artifact_dir() -> sae_live::TempDir {
@@ -155,8 +79,8 @@ fn traced_terasort_produces_all_three_artifacts() {
     let prom = std::fs::read_to_string(&prom).unwrap();
     assert!(prom.contains("# HELP "));
     assert!(prom.contains("# TYPE "));
-    assert!(prom.contains(r#"live_driver_tasks_finished{executor="0"}"#));
-    assert!(prom.contains("live_driver_heartbeat_gap_s_count"));
+    assert!(prom.contains(r#"server_tasks_finished{executor="0"}"#));
+    assert!(prom.contains("server_heartbeat_gap_s_count"));
     let metrics_jsonl = std::fs::read_to_string(&metrics_jsonl).unwrap();
     assert!(metrics_jsonl.lines().count() >= 1);
     for line in metrics_jsonl.lines() {

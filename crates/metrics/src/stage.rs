@@ -1,12 +1,10 @@
 //! Per-stage utilisation roll-ups (the `mpstat`/`iostat` equivalents).
 
-use serde::{Deserialize, Serialize};
-
 /// One utilisation sample for a node over a sampling interval.
 ///
 /// Fractions are in `[0, 1]`. `cpu_busy + cpu_iowait` may be below 1.0 (idle
 /// time) and is clamped by the builder if numeric noise pushes it above.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilizationSample {
     /// Fraction of CPU capacity doing useful work.
     pub cpu_busy: f64,
@@ -22,7 +20,7 @@ pub struct UtilizationSample {
 ///
 /// This is the data behind Figure 1 (per-stage CPU% and iowait) and Figure 5
 /// (average disk utilisation) of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageSummary {
     /// Stage identifier within the job.
     pub stage_id: usize,
