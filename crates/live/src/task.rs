@@ -48,8 +48,8 @@ fn quarantine_path(dir: &Path, job: u64, task: usize) -> PathBuf {
     dir.join(format!("j{job}-t{task}.spill.corrupt"))
 }
 
-/// Reads task `task`'s spill partition, recovering from the two spill
-/// failure modes:
+/// Reads task `task`'s spill partition, recording the read into
+/// `io_probe`, and recovers from the two spill failure modes:
 ///
 /// * **Corrupt** (checksum/format mismatch): the file is quarantined under
 ///   `t<task>.spill.corrupt` and the error propagates, so the driver sees
@@ -58,7 +58,8 @@ fn quarantine_path(dir: &Path, job: u64, task: usize) -> PathBuf {
 ///   attempt): the partition is regenerated from its deterministic
 ///   lineage — `teragen` over [`task_seed`] produces byte-identical
 ///   records to the original spill task on any executor — re-spilled, and
-///   the sort proceeds.
+///   the sort proceeds. Only that write reaches `io_probe`: no file was
+///   read, and the generation is CPU, not I/O wait.
 fn read_or_regenerate(
     dir: &Path,
     job: u64,
@@ -67,8 +68,12 @@ fn read_or_regenerate(
     seed: u64,
     io_probe: &CounterProbe,
 ) -> io::Result<Vec<sae_workloads::datagen::TeraRecord>> {
+    let started = Instant::now();
     match read_records(&spill_path(dir, job, task)) {
-        Ok(records) => Ok(records),
+        Ok(records) => {
+            io_probe.record((records.len() * RECORD_BYTES) as u64, started.elapsed());
+            Ok(records)
+        }
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             let _ = std::fs::rename(spill_path(dir, job, task), quarantine_path(dir, job, task));
             Err(e)
@@ -107,12 +112,7 @@ pub fn run_task(
             io_probe.record(bytes, started.elapsed());
         }
         LiveStageKind::Sort => {
-            let read_started = Instant::now();
             let mut records = read_or_regenerate(dir, job, task, records_per_task, seed, io_probe)?;
-            io_probe.record(
-                (records.len() * RECORD_BYTES) as u64,
-                read_started.elapsed(),
-            );
             records.sort_unstable_by_key(|r| r.key);
             if records.windows(2).any(|w| w[0].key > w[1].key) {
                 return Err(io::Error::new(
@@ -171,6 +171,39 @@ mod tests {
         let mut expected = teragen(10, task_seed(1, 0));
         expected.sort_unstable_by_key(|r| r.key);
         assert_eq!(read_records(&sorted_path(&dir, 0, 0)).unwrap(), expected);
+        // The probe saw the regenerated spill's write and the sorted run's
+        // write, each with its footer, and no read: nothing was read.
+        let (_, mb) = probe.sample();
+        let expected_mb = (2 * 10 * RECORD_BYTES + 2 * FOOTER_BYTES) as f64 / (1024.0 * 1024.0);
+        assert!(
+            (mb - expected_mb).abs() < 1e-9,
+            "got {mb}, want {expected_mb}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// FNV-1a over a file's bytes: a stable fingerprint for golden pins.
+    fn fnv1a_file(path: &Path) -> u64 {
+        std::fs::read(path)
+            .unwrap()
+            .into_iter()
+            .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+            })
+    }
+
+    #[test]
+    fn spill_and_sorted_run_bytes_match_the_golden_fingerprints() {
+        // 1,311 records: two full 64 KiB I/O chunks and one record more.
+        // The fingerprints were pinned from the record-at-a-time spill
+        // writer and the per-index teragen: the on-disk format and the
+        // lineage stream must not drift.
+        let dir = temp_dir("golden");
+        let probe = CounterProbe::new();
+        run_task(LiveStageKind::Spill, 1, 3, 1_311, 42, &dir, &probe).unwrap();
+        run_task(LiveStageKind::Sort, 1, 3, 1_311, 42, &dir, &probe).unwrap();
+        assert_eq!(fnv1a_file(&spill_path(&dir, 1, 3)), 0xD54F_4D6D_4BDF_4C38);
+        assert_eq!(fnv1a_file(&sorted_path(&dir, 1, 3)), 0xB5AB_2E1D_7702_1A80);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

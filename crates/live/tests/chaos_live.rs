@@ -101,11 +101,12 @@ fn partition_is_detected_then_heals_into_a_resurrection() {
     // timeouts deep, so the driver must declare it lost — and then take
     // it back once frames flow again, without the socket ever closing.
     // The window opens early enough to fit inside the job even in a
-    // release build, where the whole sort is over in under two seconds.
+    // release build, where the whole sort is over in under two seconds:
+    // the job is sized (128 tasks of 30,000 records) to outlast the heal.
     let plan = FaultPlan::new(23).with_partition(2, 0.4, 0.8, WireDirection::Both);
     plan.validate(3);
     let mut cluster = LiveCluster::launch(chaos_cluster(plan)).unwrap();
-    let report = cluster.run(&terasort(36, 30_000, 7)).unwrap();
+    let report = cluster.run(&terasort(128, 30_000, 7)).unwrap();
     let events = cluster.recorder().snapshot();
     let lost_at = events.iter().find_map(|ev| match ev {
         LiveEvent::Trace(TraceEvent::ExecutorFailed { executor: 2, at }) => Some(*at),
@@ -134,11 +135,12 @@ fn crashed_executor_reincarnates_and_the_job_completes() {
     // t=0.4 s; the executor reincarnates after the plan's 0.6 s downtime
     // under a fresh registration epoch. The downtime deliberately exceeds
     // the 0.4 s heartbeat timeout so detection precedes the rebirth, and
-    // the rebirth lands while release-build jobs still have work left.
+    // the rebirth lands while release-build jobs still have work left
+    // (128 tasks of 30,000 records take about 1.6 s fault-free).
     let plan = FaultPlan::new(31).with_crash(1, 0.4, 0.6);
     plan.validate(3);
     let mut cluster = LiveCluster::launch(chaos_cluster(plan)).unwrap();
-    let report = cluster.run(&terasort(36, 30_000, 13)).unwrap();
+    let report = cluster.run(&terasort(128, 30_000, 13)).unwrap();
     let events = cluster.recorder().snapshot();
     assert!(fault_kinds(&events).contains(&"crash"), "kill never fired");
     let epoch = events
@@ -225,7 +227,7 @@ fn standard_chaos_plan_completes_and_replays_deterministically() {
 
     let run = || {
         let mut cluster = LiveCluster::launch(chaos_cluster(plan())).unwrap();
-        let report = cluster.run(&terasort(36, 30_000, 77)).unwrap();
+        let report = cluster.run(&terasort(128, 30_000, 77)).unwrap();
         let events = cluster.recorder().snapshot();
         let seq = recovery_sequence(&events);
         cluster.shutdown().unwrap();
@@ -255,7 +257,7 @@ fn standard_chaos_plan_completes_and_replays_deterministically() {
     // …and every task of both stages finished despite the weather.
     assert_eq!(report.stages.len(), 2);
     for stage in &report.stages {
-        assert_eq!(stage.tasks, 36);
+        assert_eq!(stage.tasks, 128);
     }
 
     // Same seed, same job, same recovery story (timestamps aside).

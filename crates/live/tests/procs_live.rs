@@ -233,7 +233,9 @@ fn process_mode_matches_in_thread_recovery_story() {
         let mut cfg = procs_cluster(plan());
         cfg.process_executors = process_executors;
         let mut cluster = LiveCluster::launch(cfg).unwrap();
-        let report = cluster.run(&terasort(36, 30_000, 13)).unwrap();
+        // About 1.6 s of work fault-free: the rebirth after t=1.0 s
+        // lands while the job still has tasks left.
+        let report = cluster.run(&terasort(128, 30_000, 13)).unwrap();
         let story = recovery_story(&cluster.recorder().snapshot());
         cluster.shutdown().unwrap();
         (report, story)

@@ -205,8 +205,12 @@ pub fn render_prometheus(registry: &MetricRegistry) -> String {
     out
 }
 
-/// Escapes a string for a JSON string literal (the JSONL sink).
-fn escape_json(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal.
+///
+/// The workspace's one JSON string escaper: the JSONL metrics sink, the
+/// decision journal (`sae-core`) and the HTTP API (`sae-net`, which
+/// re-exports it) all encode through it.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

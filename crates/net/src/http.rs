@@ -35,6 +35,11 @@
 
 use std::fmt;
 
+/// Escapes a string for embedding in a JSON string literal (the
+/// workspace's one escaper, kept here so HTTP callers need no other
+/// import).
+pub use sae_metrics::escape_json;
+
 /// Bounds on what one request may occupy in memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
@@ -390,23 +395,6 @@ impl Response {
         out.extend_from_slice(format!("Content-Length: {}\r\n\r\n", self.body.len()).as_bytes());
         out.extend_from_slice(&self.body);
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A parsed response, for test harnesses and the load generator (the

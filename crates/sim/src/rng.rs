@@ -57,6 +57,15 @@ impl DeterministicRng {
         lo + (hi - lo) * self.uniform()
     }
 
+    /// The next raw 64 bits of the stream.
+    ///
+    /// [`index`](Self::index) maps one such draw `x` to `[0, n)` as the
+    /// high word of the widening product `x * n`, so a caller drawing
+    /// many small indices can take `next_u64` and apply that map itself.
+    pub fn next_u64(&mut self) -> u64 {
+        self.inner.random()
+    }
+
     /// Uniform integer in `[0, n)`.
     ///
     /// # Panics
@@ -205,6 +214,18 @@ mod tests {
         let mut sorted = items.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn index_is_the_high_word_of_a_widened_draw() {
+        for n in [1usize, 2, 95, 256, 1000, usize::MAX] {
+            let mut a = DeterministicRng::seed(31);
+            let mut b = DeterministicRng::seed(31);
+            for _ in 0..200 {
+                let hi = ((b.next_u64() as u128 * n as u128) >> 64) as usize;
+                assert_eq!(a.index(n), hi, "n = {n}");
+            }
+        }
     }
 
     #[test]
