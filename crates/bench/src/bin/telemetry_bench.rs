@@ -31,9 +31,9 @@ use std::time::{Duration, Instant};
 
 use sae_core::MapeConfig;
 use sae_live::executor::LiveExecutorConfig;
-use sae_live::server::json::{self, Value};
 use sae_live::server::{JobServer, ServerConfig};
 use sae_live::{LiveExecutor, TempDir};
+use sae_metrics::json::{self, Value};
 use sae_net::http::parse_response;
 use sae_net::sse::{ChunkedDecoder, SseParser};
 

@@ -8,9 +8,10 @@
 //! artifact: the controller emits a [`DecisionRecord`] whenever it closes
 //! an interval or abandons a stage, with the same schema in the simulator
 //! (virtual time) and the live TCP runtime (wall clock). Records serialize
-//! to JSONL with a hand-rolled writer and parser ([`DecisionRecord::to_json`],
-//! [`parse_jsonl`]) — the serialization is deterministic, so a same-seed
-//! sim rerun produces a bit-identical journal.
+//! to JSONL with a hand-rolled writer ([`DecisionRecord::to_json`]) and
+//! read back through `sae_metrics::json` ([`parse_jsonl`]) — the
+//! serialization is deterministic, so a same-seed sim rerun produces a
+//! bit-identical journal.
 //!
 //! [`zeta_explain`] renders a journal as a human-readable hill-climb table.
 
@@ -18,6 +19,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use sae_metrics::escape_json;
+use sae_metrics::json::{self, Value};
 
 /// What the Planner did with the interval's analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,75 +152,66 @@ impl DecisionRecord {
 
     /// Parses a record from the JSON produced by
     /// [`DecisionRecord::to_json`] (a single flat object; key order does
-    /// not matter).
+    /// not matter). Unknown and missing keys are errors.
     pub fn from_json(line: &str) -> Result<Self, String> {
-        let mut p = JsonParser::new(line);
-        p.expect('{')?;
-        let mut stage = None;
-        let mut executor = None;
-        let mut interval = None;
-        let mut at = None;
-        let mut threads = None;
-        let mut epoll_wait_s = None;
-        let mut throughput_bps = None;
-        let mut zeta = None;
-        let mut pool_before = None;
-        let mut pool_after = None;
-        let mut action = None;
-        let mut rationale = None;
-        loop {
-            p.skip_ws();
-            if p.try_consume('}') {
-                break;
-            }
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "stage" => stage = Some(p.usize()?),
-                "executor" => executor = Some(p.usize()?),
-                "interval" => interval = Some(p.usize()?),
-                "at" => at = Some(p.number()?),
-                "threads" => threads = Some(p.usize()?),
-                "epoll_wait_s" => epoll_wait_s = Some(p.number()?),
-                "throughput_bps" => throughput_bps = Some(p.number()?),
-                "zeta" => zeta = Some(p.number()?),
-                "pool_before" => pool_before = Some(p.usize()?),
-                "pool_after" => pool_after = Some(p.usize()?),
-                "action" => {
-                    let s = p.string()?;
-                    action =
-                        Some(DecisionAction::parse(&s).ok_or(format!("unknown action {s:?}"))?);
-                }
-                "rationale" => rationale = Some(p.string()?),
-                other => return Err(format!("unknown key {other:?}")),
-            }
-            p.skip_ws();
-            if !p.try_consume(',') {
-                p.expect('}')?;
-                break;
-            }
+        let doc = json::parse(line).map_err(String::from)?;
+        let Value::Obj(fields) = &doc else {
+            return Err("record is not a JSON object".to_string());
+        };
+        if let Some(key) = fields.keys().find(|k| !KEYS.contains(&k.as_str())) {
+            return Err(format!("unknown key {key:?}"));
         }
-        p.skip_ws();
-        if !p.at_end() {
-            return Err("trailing content after record".to_string());
-        }
-        let missing = |k: &str| format!("missing key {k:?}");
+        let field = |k: &str| fields.get(k).ok_or_else(|| format!("missing key {k:?}"));
+        let count = |k: &str| {
+            field(k)?
+                .as_u64()
+                .and_then(|v| usize::try_from(v).ok())
+                .ok_or_else(|| format!("{k:?} is not an unsigned integer"))
+        };
+        let number = |k: &str| {
+            field(k)?
+                .as_f64()
+                .ok_or_else(|| format!("{k:?} is not a number"))
+        };
+        let string = |k: &str| {
+            field(k)?
+                .as_str()
+                .ok_or_else(|| format!("{k:?} is not a string"))
+        };
+        let action = string("action")?;
         Ok(Self {
-            stage: stage.ok_or_else(|| missing("stage"))?,
-            executor: executor.ok_or_else(|| missing("executor"))?,
-            interval: interval.ok_or_else(|| missing("interval"))?,
-            at: at.ok_or_else(|| missing("at"))?,
-            threads: threads.ok_or_else(|| missing("threads"))?,
-            epoll_wait_s: epoll_wait_s.ok_or_else(|| missing("epoll_wait_s"))?,
-            throughput_bps: throughput_bps.ok_or_else(|| missing("throughput_bps"))?,
-            zeta: zeta.ok_or_else(|| missing("zeta"))?,
-            pool_before: pool_before.ok_or_else(|| missing("pool_before"))?,
-            pool_after: pool_after.ok_or_else(|| missing("pool_after"))?,
-            action: action.ok_or_else(|| missing("action"))?,
-            rationale: rationale.ok_or_else(|| missing("rationale"))?,
+            stage: count("stage")?,
+            executor: count("executor")?,
+            interval: count("interval")?,
+            at: number("at")?,
+            threads: count("threads")?,
+            epoll_wait_s: number("epoll_wait_s")?,
+            throughput_bps: number("throughput_bps")?,
+            zeta: number("zeta")?,
+            pool_before: count("pool_before")?,
+            pool_after: count("pool_after")?,
+            action: DecisionAction::parse(action)
+                .ok_or_else(|| format!("unknown action {action:?}"))?,
+            rationale: string("rationale")?.to_string(),
         })
     }
 }
+
+/// The keys of [`DecisionRecord::to_json`], in emission order.
+const KEYS: [&str; 12] = [
+    "stage",
+    "executor",
+    "interval",
+    "at",
+    "threads",
+    "epoll_wait_s",
+    "throughput_bps",
+    "zeta",
+    "pool_before",
+    "pool_after",
+    "action",
+    "rationale",
+];
 
 /// Serializes records as JSONL: one [`DecisionRecord::to_json`] object per
 /// line, each newline-terminated.
@@ -239,130 +232,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<DecisionRecord>, String> {
         .filter(|(_, l)| !l.trim().is_empty())
         .map(|(n, l)| DecisionRecord::from_json(l).map_err(|e| format!("line {}: {e}", n + 1)))
         .collect()
-}
-
-/// A minimal recursive-descent parser for the flat JSON objects the
-/// journal emits. Deliberately not a general JSON parser: no nesting, no
-/// arrays, no booleans — the schema does not need them and the workspace
-/// has no JSON dependency.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn try_consume(&mut self, c: char) -> bool {
-        self.skip_ws();
-        if self.peek() == Some(c as u8) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.try_consume(c) {
-            Ok(())
-        } else {
-            Err(format!("expected {c:?} at byte {}", self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unescaped).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        text.parse::<f64>()
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
-    }
-
-    fn usize(&mut self) -> Result<usize, String> {
-        let v = self.number()?;
-        if v >= 0.0 && v.fract() == 0.0 && v <= usize::MAX as f64 {
-            Ok(v as usize)
-        } else {
-            Err(format!("expected unsigned integer, got {v}"))
-        }
-    }
 }
 
 /// A shared, appendable journal handle.
@@ -496,7 +365,7 @@ mod tests {
             pool_before: 2 << interval,
             pool_after: 4 << interval,
             action,
-            rationale: "test \"quoted\"\nnewline\tand \\backslash".to_string(),
+            rationale: "test \"quoted\"\nnewline\tand \\backslash \u{1}\u{8}\u{c} ζ→µ".to_string(),
         }
     }
 
@@ -540,6 +409,23 @@ mod tests {
         json = json.replace("\"zeta\":0.005,", "");
         let err = DecisionRecord::from_json(&json).unwrap_err();
         assert!(err.contains("zeta"), "{err}");
+    }
+
+    #[test]
+    fn malformed_records_are_rejected() {
+        let good = record(0, DecisionAction::Hold).to_json();
+        for (bad, why) in [
+            (good.replacen('{', "{\"extra\":1,", 1), "unknown key"),
+            (
+                good.replace("\"threads\":2,", "\"threads\":2.5,"),
+                "threads",
+            ),
+            (format!("{good} {{}}"), "trailing"),
+            (good.replace("\"hold\"", "\"explode\""), "unknown action"),
+        ] {
+            let err = DecisionRecord::from_json(&bad).unwrap_err();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use sae_live::server::json::{self, Value};
+use sae_metrics::json::{self, Value};
 use sae_net::sse::{ChunkedDecoder, SseFrame, SseParser};
 
 struct Args {

@@ -28,7 +28,7 @@
 //!   duplicate, mid-frame reset, partition);
 //! * `plan.crashes` drives a chaos-agent thread that flips executor kill
 //!   switches on schedule; each crashed executor reincarnates after the
-//!   crash's `downtime` (or per [`ClusterConfig::respawn`] if set);
+//!   crash's `downtime`;
 //! * `plan.disk` makes the same agent corrupt spill files once they land,
 //!   exercising the checksum → quarantine → lineage-rebuild path.
 //!
@@ -77,12 +77,6 @@ pub struct ClusterConfig {
     pub probation: Duration,
     /// Wall-clock bound on the whole job.
     pub deadline: Duration,
-    /// Per-task wall-clock bound; overrunning assignments are revoked and
-    /// retried. `None` disables the check.
-    pub task_deadline: Option<Duration>,
-    /// Fleet floor for graceful degradation: below this many usable
-    /// executors the driver parks in `Degraded` instead of failing fast.
-    pub min_live_executors: usize,
     /// How long the driver tolerates being below the floor before the job
     /// fails.
     pub degraded_wait: Duration,
@@ -107,10 +101,6 @@ pub struct ClusterConfig {
     /// The seeded fault schedule (see the module docs). An empty plan —
     /// the default — arms nothing and interposes nothing.
     pub fault_plan: FaultPlan,
-    /// Reincarnation policy for every executor. `None` keeps death final
-    /// except for plan crashes, which derive a policy from their
-    /// `downtime`.
-    pub respawn: Option<RespawnConfig>,
     /// Flight-recorder ring capacity in events; 0 disables recording.
     pub recorder_capacity: usize,
     /// Where to write the merged Chrome trace on shutdown (and
@@ -140,14 +130,11 @@ impl Default for ClusterConfig {
             blacklist_after: 3,
             probation: Duration::from_secs(2),
             deadline: Duration::from_secs(120),
-            task_deadline: None,
-            min_live_executors: 1,
             degraded_wait: Duration::from_secs(5),
             process_executors: false,
             executor_binary: None,
             kill_after_tasks: Vec::new(),
             fault_plan: FaultPlan::default(),
-            respawn: None,
             recorder_capacity: 16_384,
             trace_out: None,
             journal_out: None,
@@ -260,8 +247,6 @@ impl LiveCluster {
             max_task_attempts: cfg.max_task_attempts,
             blacklist_after: cfg.blacklist_after,
             probation: cfg.probation,
-            task_deadline: cfg.task_deadline,
-            min_live_executors: cfg.min_live_executors,
             degraded_wait: cfg.degraded_wait,
             recorder: recorder.clone(),
             metrics: metrics.clone(),
@@ -639,9 +624,9 @@ fn spawn_process_executor(
     if let Some(&(_, n)) = cfg.kill_after_tasks.iter().find(|&&(e, _)| e == id) {
         cmd.arg("--kill-after").arg(n.to_string());
     }
-    // `respawn_for` already derives the policy (and its seed) from the
-    // crash schedule when no explicit one is set, so the child gets the
-    // exact policy its in-thread twin would run with.
+    // `respawn_for` derives the policy (and its seed) from the crash
+    // schedule, so the child gets the exact policy its in-thread twin
+    // would run with.
     if let Some(r) = respawn_for(cfg, id) {
         cmd.arg("--respawn-delay-ms")
             .arg(r.delay.as_millis().to_string())
@@ -667,14 +652,11 @@ fn spawn_process_executor(
     })
 }
 
-/// The reincarnation policy executor `id` launches with: the explicit
-/// cluster-wide policy if set, else one derived from the executor's
-/// scheduled crash (its `downtime` becomes the respawn delay — the same
-/// number the simulator uses for the replacement's registration delay).
+/// The reincarnation policy executor `id` launches with, derived from its
+/// scheduled crash: the crash's `downtime` becomes the respawn delay — the
+/// same number the simulator uses for the replacement's registration
+/// delay. An executor with no scheduled crash does not respawn.
 fn respawn_for(cfg: &ClusterConfig, id: usize) -> Option<RespawnConfig> {
-    if cfg.respawn.is_some() {
-        return cfg.respawn.clone();
-    }
     cfg.fault_plan
         .crashes
         .iter()

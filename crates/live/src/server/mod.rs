@@ -2,7 +2,7 @@
 //!
 //! Clients submit jobs over a hand-rolled HTTP/1.1 control API
 //! ([`sae_net::http`]), a shared executor fleet serves every job's tasks
-//! concurrently, and a stride scheduler ([`sched::FairShare`]) splits the
+//! concurrently, and a stride scheduler (`sched::FairShare`) splits the
 //! fleet's slots across tenants by weight. The same loop also runs
 //! single-job clusters: [`JobServer::run_job`] (what
 //! [`LiveCluster::run`](crate::LiveCluster::run) calls) submits one job
@@ -86,10 +86,9 @@
 //! Each job keeps a **journal**: JSONL lifecycle lines with no wall-clock
 //! times, no executor placement and no server-assigned ids, so two
 //! fault-free runs of the same submission schedule produce byte-identical
-//! journals — the determinism the `jobserver` bench asserts.
+//! journals — the determinism the `jobserver` end-to-end tests assert.
 
-pub mod json;
-pub mod sched;
+mod sched;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -100,6 +99,7 @@ use std::time::{Duration, Instant};
 
 use sae_dag::sched::PendingQueue;
 use sae_dag::{Message, TraceEvent};
+use sae_metrics::json::{self, Value};
 use sae_metrics::{
     render_prometheus, Counter, Gauge, Histogram, MetricRegistry, RegistrySnapshot,
     EXPOSITION_CONTENT_TYPE,
@@ -115,7 +115,6 @@ use crate::recorder::{FlightRecorder, LiveEvent, Subscription};
 use crate::report::{LiveError, LiveReport, LiveStageReport, PoolDecision, SlotInfo};
 use crate::wire::{Frame, FrameCursor};
 
-use json::Value;
 use sched::FairShare;
 
 /// Poller token of the executor wire listener.

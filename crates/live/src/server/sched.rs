@@ -10,11 +10,9 @@
 //!
 //! The scheduler is a pure state machine: no clocks, no randomness, ties
 //! broken by job id. Given the same sequence of [`FairShare::admit`],
-//! [`FairShare::retire`] and [`FairShare::pick`] calls it produces the
-//! same dispatch sequence, which is what makes the server's accounting
-//! journal replayable — [`replay`] re-runs a recorded schedule and
-//! byte-identical journals out of two runs prove the allocator
-//! deterministic (the acceptance gate `jobserver_bench` asserts).
+//! [`FairShare::retire`], [`FairShare::peek`] and [`FairShare::charge`]
+//! calls it produces the same dispatch sequence, which is what makes the
+//! server's accounting journal replayable.
 
 use std::collections::BTreeMap;
 
@@ -29,23 +27,11 @@ struct Entry {
     pass: u64,
 }
 
-/// One recorded allocator decision, for the replay journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Dispatch {
-    /// Decision ordinal (0-based).
-    pub seq: u64,
-    /// The job the slot went to.
-    pub job: u64,
-    /// The job's pass value *before* this dispatch charged it.
-    pub pass: u64,
-}
-
 /// The stride allocator. Jobs are admitted with a weight, charged per
 /// dispatched task, and retired when they finish or are cancelled.
 #[derive(Debug, Default)]
 pub struct FairShare {
     entries: BTreeMap<u64, Entry>,
-    dispatches: u64,
 }
 
 impl FairShare {
@@ -74,16 +60,6 @@ impl FairShare {
         self.entries.remove(&job);
     }
 
-    /// Whether `job` is currently admitted.
-    pub fn contains(&self, job: u64) -> bool {
-        self.entries.contains_key(&job)
-    }
-
-    /// Admitted jobs, ascending by id.
-    pub fn jobs(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.keys().copied()
-    }
-
     /// The runnable job with the lowest `(pass, id)`, without charging it.
     /// `runnable` filters jobs that could actually use the slot (current
     /// stage has queued tasks); jobs it rejects keep their pass, so a job
@@ -96,75 +72,66 @@ impl FairShare {
             .map(|(id, _)| *id)
     }
 
-    /// Charges `job` one stride for a dispatched task. Callers that need
-    /// to inspect per-executor state between selection and dispatch use
-    /// [`FairShare::peek`] then `charge` only once the dispatch actually
+    /// Charges `job` one stride for a dispatched task. The server calls
+    /// it only once the dispatch [`FairShare::peek`] proposed actually
     /// happens, so a job the executor cannot serve is never billed.
-    pub fn charge(&mut self, job: u64) -> Option<Dispatch> {
-        let e = self.entries.get_mut(&job)?;
-        let dispatch = Dispatch {
-            seq: self.dispatches,
-            job,
-            pass: e.pass,
-        };
-        e.pass = e.pass.saturating_add(e.stride);
-        self.dispatches += 1;
-        Some(dispatch)
-    }
-
-    /// [`FairShare::peek`] + [`FairShare::charge`] in one step.
-    pub fn pick(&mut self, runnable: impl FnMut(u64) -> bool) -> Option<Dispatch> {
-        let job = self.peek(runnable)?;
-        self.charge(job)
-    }
-}
-
-/// One step of a recorded submission schedule, for [`replay`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
-    /// `admit(job, weight)`.
-    Admit(u64, u64),
-    /// `retire(job)`.
-    Retire(u64),
-    /// One `pick` over all admitted jobs (every job runnable).
-    Pick,
-}
-
-/// Replays a schedule through a fresh allocator and renders the dispatch
-/// journal as JSONL. Two calls with the same schedule must return
-/// byte-identical strings — the determinism proof the bench checks in.
-pub fn replay(schedule: &[Step]) -> String {
-    let mut fs = FairShare::new();
-    let mut out = String::new();
-    for step in schedule {
-        match *step {
-            Step::Admit(job, weight) => fs.admit(job, weight),
-            Step::Retire(job) => fs.retire(job),
-            Step::Pick => {
-                if let Some(d) = fs.pick(|_| true) {
-                    out.push_str(&format!(
-                        "{{\"seq\":{},\"job\":{},\"pass\":{}}}\n",
-                        d.seq, d.job, d.pass
-                    ));
-                }
-            }
+    pub fn charge(&mut self, job: u64) {
+        if let Some(e) = self.entries.get_mut(&job) {
+            e.pass = e.pass.saturating_add(e.stride);
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One dispatch as the server loop makes it: peek, then charge.
+    fn pick(fs: &mut FairShare, runnable: impl FnMut(u64) -> bool) -> Option<u64> {
+        let job = fs.peek(runnable)?;
+        fs.charge(job);
+        Some(job)
+    }
+
     /// Dispatch counts per job over `n` picks, all jobs always runnable.
     fn shares(fs: &mut FairShare, n: usize) -> BTreeMap<u64, usize> {
         let mut counts = BTreeMap::new();
         for _ in 0..n {
-            let d = fs.pick(|_| true).expect("jobs admitted");
-            *counts.entry(d.job).or_insert(0) += 1;
+            let job = pick(fs, |_| true).expect("jobs admitted");
+            *counts.entry(job).or_insert(0) += 1;
         }
         counts
+    }
+
+    /// One step of a recorded submission schedule, for [`replay`].
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// `admit(job, weight)`.
+        Admit(u64, u64),
+        /// `retire(job)`.
+        Retire(u64),
+        /// One pick over all admitted jobs.
+        Pick,
+    }
+
+    /// Replays a schedule through a fresh allocator and renders each
+    /// dispatch, with the job's pass before the charge, as one line.
+    fn replay(schedule: &[Step]) -> String {
+        let mut fs = FairShare::new();
+        let mut out = String::new();
+        for step in schedule {
+            match *step {
+                Step::Admit(job, weight) => fs.admit(job, weight),
+                Step::Retire(job) => fs.retire(job),
+                Step::Pick => {
+                    if let Some(job) = fs.peek(|_| true) {
+                        out.push_str(&format!("{job} {}\n", fs.entries[&job].pass));
+                        fs.charge(job);
+                    }
+                }
+            }
+        }
+        out
     }
 
     #[test]
@@ -210,7 +177,7 @@ mod tests {
         fs.admit(1, 1);
         // Job 0 is blocked for 10 picks: job 1 takes them all.
         for _ in 0..10 {
-            assert_eq!(fs.pick(|j| j != 0).unwrap().job, 1);
+            assert_eq!(pick(&mut fs, |j| j != 0).unwrap(), 1);
         }
         // Once runnable again, job 0's untouched pass means it catches
         // up on the next 10 picks.
@@ -225,11 +192,11 @@ mod tests {
         fs.admit(1, 1);
         fs.retire(0);
         for _ in 0..5 {
-            assert_eq!(fs.pick(|_| true).unwrap().job, 1);
+            assert_eq!(pick(&mut fs, |_| true).unwrap(), 1);
         }
-        assert!(!fs.contains(0));
+        assert!(!fs.entries.contains_key(&0));
         fs.retire(1);
-        assert!(fs.pick(|_| true).is_none());
+        assert!(pick(&mut fs, |_| true).is_none());
     }
 
     #[test]
@@ -238,9 +205,9 @@ mod tests {
         fs.admit(7, 1);
         fs.admit(3, 1);
         // Equal pass: lower id first, strictly alternating after.
-        assert_eq!(fs.pick(|_| true).unwrap().job, 3);
-        assert_eq!(fs.pick(|_| true).unwrap().job, 7);
-        assert_eq!(fs.pick(|_| true).unwrap().job, 3);
+        assert_eq!(pick(&mut fs, |_| true).unwrap(), 3);
+        assert_eq!(pick(&mut fs, |_| true).unwrap(), 7);
+        assert_eq!(pick(&mut fs, |_| true).unwrap(), 3);
     }
 
     #[test]

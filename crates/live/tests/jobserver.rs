@@ -14,10 +14,11 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use sae_core::MapeConfig;
 use sae_live::executor::LiveExecutorConfig;
-use sae_live::server::json::{self, Value};
 use sae_live::server::{JobServer, ServerConfig, ServerReport};
-use sae_live::{LiveExecutor, TempDir};
+use sae_live::{FlightRecorder, LiveEvent, LiveExecutor, TempDir};
+use sae_metrics::json::{self, Value};
 use sae_net::http::parse_response;
 use sae_net::sse::{ChunkedDecoder, SseFrame, SseParser};
 
@@ -142,7 +143,17 @@ struct Harness {
 }
 
 impl Harness {
-    fn launch(mut cfg: ServerConfig, executors: usize) -> Self {
+    fn launch(cfg: ServerConfig, executors: usize) -> Self {
+        Self::launch_fleet(cfg, executors, |_| {})
+    }
+
+    /// Like [`Harness::launch`], with `tune` applied to every executor's
+    /// config.
+    fn launch_fleet(
+        mut cfg: ServerConfig,
+        executors: usize,
+        tune: impl Fn(&mut LiveExecutorConfig),
+    ) -> Self {
         cfg.executors = executors;
         let stop = Arc::clone(&cfg.stop);
         let server = JobServer::bind(cfg).expect("bind server");
@@ -153,7 +164,9 @@ impl Harness {
             .map(|id| {
                 let dir = spill.path().join(format!("exec-{id}"));
                 std::fs::create_dir_all(&dir).unwrap();
-                LiveExecutor::launch(wire_addr, LiveExecutorConfig::new(id, dir))
+                let mut ecfg = LiveExecutorConfig::new(id, dir);
+                tune(&mut ecfg);
+                LiveExecutor::launch(wire_addr, ecfg)
             })
             .collect();
         let serve = thread::spawn(move || server.serve());
@@ -284,6 +297,52 @@ fn same_submission_schedule_yields_bit_identical_journals() {
         "journals must not depend on timing, placement, or job ids"
     );
     h.shutdown();
+}
+
+#[test]
+fn weighted_tenants_split_dispatches_by_weight() {
+    let recorder = FlightRecorder::new(16_384);
+    let cfg = ServerConfig {
+        recorder: recorder.clone(),
+        ..ServerConfig::default()
+    };
+    // One executor pinned at two slots, and 64 single-stage tasks per
+    // job: both tenants stay backlogged through the counted window.
+    let h = Harness::launch_fleet(cfg, 1, |e| e.mape = MapeConfig::new(2, 2));
+    let spec = |tenant: &str, weight: u64| {
+        format!(
+            r#"{{"tenant":"{tenant}","weight":{weight},
+                "stages":[{{"kind":"spill","tasks":64,"records_per_task":1000,"seed":1}}]}}"#
+        )
+    };
+    let (_, bronze) = h.submit(&spec("bronze", 1));
+    let (_, gold) = h.submit(&spec("gold", 4));
+    let (bronze, gold) = (json_field(&bronze, "job"), json_field(&gold, "job"));
+    assert_eq!(h.await_terminal(&bronze), "completed");
+    assert_eq!(h.await_terminal(&gold), "completed");
+    h.shutdown();
+
+    // Dispatch order, as the executor's pool started the tasks.
+    let gold: u64 = gold.parse().unwrap();
+    let mut spans: Vec<(f64, u64)> = recorder
+        .snapshot()
+        .into_iter()
+        .filter_map(|ev| match ev {
+            LiveEvent::TaskSpan { job, start, .. } => Some((start, job)),
+            _ => None,
+        })
+        .collect();
+    spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+    assert_eq!(spans.len(), 128, "one span per task");
+    // Count 50 dispatches from gold's first: 4:1 gives 40:10.
+    let first = spans.iter().position(|&(_, j)| j == gold).unwrap();
+    let window = &spans[first..first + 50];
+    let gold_n = window.iter().filter(|&&(_, j)| j == gold).count();
+    let bronze_n = window.len() - gold_n;
+    assert!(
+        gold_n >= 3 * bronze_n,
+        "weight 4:1 split {gold_n}:{bronze_n} dispatches"
+    );
 }
 
 #[test]

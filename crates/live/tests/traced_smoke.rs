@@ -6,8 +6,8 @@
 use std::time::Duration;
 
 use sae_core::MapeConfig;
-use sae_live::server::json;
 use sae_live::{terasort, ClusterConfig, LiveCluster};
+use sae_metrics::json;
 
 /// Asserts `text` is one well-formed JSON document, not just
 /// brace-balanced.

@@ -13,6 +13,7 @@
 //! * [`MetricRegistry`] — a namespaced registry of all of the above.
 //! * [`StageSummary`] — the per-stage roll-up (CPU%, iowait%, disk
 //!   utilisation, bytes moved) that drives Figures 1 and 5 of the paper.
+//! * [`json`] — the JSON reader matching [`escape_json`], the write side.
 //!
 //! All metric types are thread-safe (lock-free where practical) so the same
 //! machinery serves the single-threaded simulator and the real thread pool
@@ -40,6 +41,7 @@
 mod counter;
 mod ewma;
 mod histogram;
+pub mod json;
 mod prometheus;
 mod registry;
 mod reporters;

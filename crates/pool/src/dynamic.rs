@@ -1,12 +1,11 @@
 //! The dynamic thread pool.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use sae_core::TunablePool;
 use sae_metrics::{Counter, Gauge, Histogram, MetricRegistry};
 
@@ -34,7 +33,12 @@ pub struct PoolMetrics {
 }
 
 struct Shared {
-    queue_rx: Receiver<Job>,
+    /// Tasks waiting for a worker. A push, a shrink and a close each
+    /// happen under this lock before `wake` is notified, so a worker that
+    /// checked for them under the lock cannot miss the wakeup.
+    queue: Mutex<VecDeque<Job>>,
+    /// Idle workers sleep here.
+    wake: Condvar,
     max_size: AtomicUsize,
     live_workers: AtomicUsize,
     busy_workers: AtomicUsize,
@@ -45,6 +49,13 @@ struct Shared {
     panic_messages: Mutex<Vec<String>>,
     queue_depth: Gauge,
     exec_seconds: Histogram,
+}
+
+/// Locks `m`, recovering it if a thread panicked while holding it: no
+/// pool lock is held while a task runs, and every update made under one
+/// (a push, a pop, a swap) leaves the data valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
@@ -65,20 +76,39 @@ impl Shared {
             }
         }
     }
+
+    /// Rejects further submissions and wakes every worker to drain the
+    /// queue and exit.
+    fn close(&self) {
+        let _queue = lock(&self.queue);
+        self.shutting_down.store(true, Ordering::Release);
+        self.wake.notify_all();
+    }
 }
 
 /// A thread pool whose maximum size can be adjusted while running.
 ///
 /// Cloning the handle is cheap and shares the pool. Dropping the last
 /// handle without calling [`DynamicThreadPool::shutdown`] detaches the
-/// workers (they exit once the queue closes and drains).
+/// workers (they exit once they have drained the queue).
 ///
 /// See the [crate docs](crate) for an example.
 #[derive(Clone)]
 pub struct DynamicThreadPool {
+    inner: Arc<Inner>,
+}
+
+/// What the handles share. Workers hold only `shared`, so the last
+/// handle's drop drops this and closes the queue.
+struct Inner {
     shared: Arc<Shared>,
-    queue_tx: Sender<Job>,
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Drop for Inner {
+    fn drop(&mut self) {
+        self.shared.close();
+    }
 }
 
 impl std::fmt::Debug for DynamicThreadPool {
@@ -110,9 +140,9 @@ impl DynamicThreadPool {
     /// Panics if `max_size` is zero.
     pub fn with_registry(max_size: usize, registry: &MetricRegistry) -> Self {
         assert!(max_size > 0, "pool size must be positive");
-        let (queue_tx, queue_rx) = unbounded::<Job>();
         let shared = Arc::new(Shared {
-            queue_rx,
+            queue: Mutex::new(VecDeque::new()),
+            wake: Condvar::new(),
             max_size: AtomicUsize::new(max_size),
             live_workers: AtomicUsize::new(0),
             busy_workers: AtomicUsize::new(0),
@@ -125,35 +155,36 @@ impl DynamicThreadPool {
             exec_seconds: registry.histogram("pool.exec_seconds"),
         });
         let pool = Self {
-            shared,
-            queue_tx,
-            handles: Arc::new(Mutex::new(Vec::new())),
+            inner: Arc::new(Inner {
+                shared,
+                workers: Mutex::new(Vec::new()),
+            }),
         };
         pool.spawn_up_to_max();
         pool
     }
 
     fn spawn_up_to_max(&self) {
+        let shared = &self.inner.shared;
         loop {
-            let live = self.shared.live_workers.load(Ordering::Acquire);
-            let max = self.shared.max_size.load(Ordering::Acquire);
-            if live >= max || self.shared.shutting_down.load(Ordering::Acquire) {
+            let live = shared.live_workers.load(Ordering::Acquire);
+            let max = shared.max_size.load(Ordering::Acquire);
+            if live >= max || shared.shutting_down.load(Ordering::Acquire) {
                 return;
             }
-            if self
-                .shared
+            if shared
                 .live_workers
                 .compare_exchange(live, live + 1, Ordering::AcqRel, Ordering::Acquire)
                 .is_err()
             {
                 continue;
             }
-            let shared = Arc::clone(&self.shared);
+            let worker = Arc::clone(shared);
             let handle = std::thread::Builder::new()
                 .name("sae-pool-worker".into())
-                .spawn(move || worker_loop(shared))
+                .spawn(move || worker_loop(worker))
                 .expect("failed to spawn pool worker");
-            self.handles.lock().push(handle);
+            lock(&self.inner.workers).push(handle);
         }
     }
 
@@ -163,27 +194,28 @@ impl DynamicThreadPool {
     ///
     /// Panics if the pool has been shut down.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
+        let shared = &self.inner.shared;
         assert!(
-            !self.shared.shutting_down.load(Ordering::Acquire),
+            !shared.shutting_down.load(Ordering::Acquire),
             "submit on a shut-down pool"
         );
-        self.shared.submitted.inc();
-        self.shared.queue_depth.adjust(1.0);
-        self.queue_tx
-            .send(Box::new(job))
-            .expect("queue closed while pool is alive");
+        shared.submitted.inc();
+        shared.queue_depth.adjust(1.0);
+        lock(&shared.queue).push_back(Box::new(job));
+        shared.wake.notify_one();
     }
 
     /// Current statistics.
     pub fn metrics(&self) -> PoolMetrics {
+        let shared = &self.inner.shared;
         PoolMetrics {
-            submitted: self.shared.submitted.value(),
-            completed: self.shared.completed.value(),
-            panicked: self.shared.panicked.value(),
-            panic_messages: self.shared.panic_messages.lock().clone(),
-            max_size: self.shared.max_size.load(Ordering::Acquire),
-            live_workers: self.shared.live_workers.load(Ordering::Acquire),
-            busy_workers: self.shared.busy_workers.load(Ordering::Acquire),
+            submitted: shared.submitted.value(),
+            completed: shared.completed.value(),
+            panicked: shared.panicked.value(),
+            panic_messages: lock(&shared.panic_messages).clone(),
+            max_size: shared.max_size.load(Ordering::Acquire),
+            live_workers: shared.live_workers.load(Ordering::Acquire),
+            busy_workers: shared.busy_workers.load(Ordering::Acquire),
         }
     }
 
@@ -191,8 +223,8 @@ impl DynamicThreadPool {
     ///
     /// Already-queued tasks still run; new submissions are rejected.
     pub fn shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock());
+        self.inner.shared.close();
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.inner.workers));
         for handle in handles {
             let _ = handle.join();
         }
@@ -201,7 +233,7 @@ impl DynamicThreadPool {
 
 impl TunablePool for DynamicThreadPool {
     fn max_pool_size(&self) -> usize {
-        self.shared.max_size.load(Ordering::Acquire)
+        self.inner.shared.max_size.load(Ordering::Acquire)
     }
 
     /// Adjusts the maximum worker count.
@@ -211,36 +243,39 @@ impl TunablePool for DynamicThreadPool {
     /// semantics the paper relies on ("running tasks are never aborted").
     fn set_max_pool_size(&mut self, size: usize) {
         assert!(size > 0, "pool size must be positive");
-        self.shared.max_size.store(size, Ordering::Release);
+        let shared = &self.inner.shared;
+        {
+            let _queue = lock(&shared.queue);
+            shared.max_size.store(size, Ordering::Release);
+        }
+        // Idle workers above the new size wake to retire.
+        shared.wake.notify_all();
         self.spawn_up_to_max();
     }
 }
 
 fn worker_loop(shared: Arc<Shared>) {
-    use crossbeam::channel::RecvTimeoutError;
+    let mut queue = lock(&shared.queue);
     loop {
         if shared.should_retire() {
+            // The wakeup this worker took may have been meant for a
+            // queued task: pass it on.
+            shared.wake.notify_one();
             return;
         }
-        match shared
-            .queue_rx
-            .recv_timeout(std::time::Duration::from_millis(20))
-        {
-            Ok(job) => {
-                shared.queue_depth.adjust(-1.0);
-                run_job(&shared, job);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutting_down.load(Ordering::Acquire) && shared.queue_rx.is_empty() {
-                    shared.live_workers.fetch_sub(1, Ordering::AcqRel);
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                // All pool handles dropped.
-                shared.live_workers.fetch_sub(1, Ordering::AcqRel);
-                return;
-            }
+        if let Some(job) = queue.pop_front() {
+            drop(queue);
+            shared.queue_depth.adjust(-1.0);
+            run_job(&shared, job);
+            queue = lock(&shared.queue);
+        } else if shared.shutting_down.load(Ordering::Acquire) {
+            shared.live_workers.fetch_sub(1, Ordering::AcqRel);
+            return;
+        } else {
+            queue = shared
+                .wake
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -259,7 +294,7 @@ fn run_job(shared: &Shared, job: Job) {
                 .map(|s| (*s).to_owned())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "<non-string panic>".to_owned());
-            shared.panic_messages.lock().push(message);
+            lock(&shared.panic_messages).push(message);
             shared.panicked.inc();
         }
     }
@@ -268,8 +303,8 @@ fn run_job(shared: &Shared, job: Job) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn runs_all_submitted_tasks() {
@@ -358,6 +393,67 @@ mod tests {
             peak_after.load(Ordering::SeqCst) <= 2,
             "shrink not respected: {peak_after:?}"
         );
+    }
+
+    #[test]
+    fn shrinking_an_idle_pool_retires_surplus_workers() {
+        let mut pool = DynamicThreadPool::new(8);
+        // Start all eight workers, then let them block idle on the
+        // condvar, so only the shrink's own wakeup can retire them.
+        let barrier = Arc::new(std::sync::Barrier::new(9));
+        for _ in 0..8 {
+            let barrier = Arc::clone(&barrier);
+            pool.submit(move || {
+                barrier.wait();
+            });
+        }
+        barrier.wait();
+        std::thread::sleep(Duration::from_millis(20));
+        pool.set_max_pool_size(1);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pool.metrics().live_workers > 1 {
+            assert!(Instant::now() < deadline, "idle surplus workers kept");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        pool.shutdown();
+    }
+
+    #[test]
+    fn tasks_submitted_right_after_a_shrink_all_run() {
+        let mut pool = DynamicThreadPool::new(8);
+        pool.set_max_pool_size(1);
+        // One task at a time: each submit's wakeup is the only one in
+        // flight, so a worker that retires on it must pass it on.
+        let (tx, rx) = mpsc::channel();
+        for i in 0..50 {
+            let tx = tx.clone();
+            pool.submit(move || tx.send(i).expect("receiver alive"));
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("a queued task was left waiting");
+        }
+        pool.shutdown();
+    }
+
+    #[test]
+    fn dropping_the_last_handle_retires_every_worker() {
+        let pool = DynamicThreadPool::new(4);
+        let clone = pool.clone();
+        let shared = Arc::clone(&pool.inner.shared);
+        let done = Arc::new(AtomicUsize::new(0));
+        for _ in 0..20 {
+            let done = Arc::clone(&done);
+            clone.submit(move || {
+                done.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        drop(clone);
+        drop(pool);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while shared.live_workers.load(Ordering::Acquire) > 0 {
+            assert!(Instant::now() < deadline, "workers outlived the pool");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(done.load(Ordering::Relaxed), 20, "queued tasks dropped");
     }
 
     #[test]
